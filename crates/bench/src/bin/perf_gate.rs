@@ -130,10 +130,12 @@ fn gate_args() -> GateArgs {
     GateArgs { seed, threads }
 }
 
-struct GateCheck {
-    name: String,
-    pass: bool,
-    detail: String,
+cots_core::json_struct! {
+    struct GateCheck {
+        name: String,
+        pass: bool,
+        detail: String,
+    }
 }
 
 struct RunRecord {
@@ -196,16 +198,6 @@ impl ToJson for RunRecord {
                 self.work.combining_factor().to_json(),
             ),
             ("work", self.work.to_json()),
-        ])
-    }
-}
-
-impl ToJson for GateCheck {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name", self.name.to_json()),
-            ("pass", self.pass.to_json()),
-            ("detail", self.detail.to_json()),
         ])
     }
 }

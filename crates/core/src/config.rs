@@ -9,11 +9,13 @@
 use crate::error::{CotsError, Result};
 use crate::json::{FromJson, Json, JsonResult, ToJson};
 
-/// Counter budget configuration shared by every counter-based algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SummaryConfig {
-    /// Maximum number of monitored counters (`m`).
-    pub capacity: usize,
+crate::json_struct! {
+    /// Counter budget configuration shared by every counter-based algorithm.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct SummaryConfig {
+        /// Maximum number of monitored counters (`m`).
+        pub capacity: usize,
+    }
 }
 
 impl SummaryConfig {
@@ -66,15 +68,17 @@ pub struct CotsConfig {
     pub combiner_slots: usize,
 }
 
-/// Queue-occupancy thresholds for dynamic auto configuration (§5.2.3).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveConfig {
-    /// σ: when a bucket queue grows beyond this while a thread enqueues,
-    /// the scheduler parks surplus threads back into the pool.
-    pub sigma: usize,
-    /// ρ: when an *unowned* bucket queue exceeds this, the scheduler wakes a
-    /// pooled thread to drain it.
-    pub rho: usize,
+crate::json_struct! {
+    /// Queue-occupancy thresholds for dynamic auto configuration (§5.2.3).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct AdaptiveConfig {
+        /// σ: when a bucket queue grows beyond this while a thread enqueues,
+        /// the scheduler parks surplus threads back into the pool.
+        pub sigma: usize,
+        /// ρ: when an *unowned* bucket queue exceeds this, the scheduler wakes a
+        /// pooled thread to drain it.
+        pub rho: usize,
+    }
 }
 
 impl CotsConfig {
@@ -158,38 +162,6 @@ impl CotsConfig {
     /// Number of hash buckets.
     pub fn hash_buckets(&self) -> usize {
         1usize << self.hash_bits
-    }
-}
-
-impl ToJson for SummaryConfig {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![("capacity", self.capacity.to_json())])
-    }
-}
-
-impl FromJson for SummaryConfig {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            capacity: usize::from_json(v.field("capacity")?)?,
-        })
-    }
-}
-
-impl ToJson for AdaptiveConfig {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("sigma", self.sigma.to_json()),
-            ("rho", self.rho.to_json()),
-        ])
-    }
-}
-
-impl FromJson for AdaptiveConfig {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            sigma: usize::from_json(v.field("sigma")?)?,
-            rho: usize::from_json(v.field("rho")?)?,
-        })
     }
 }
 
@@ -302,6 +274,14 @@ mod tests {
             let back: CotsConfig = crate::json::from_str(&s).unwrap();
             assert_eq!(c, back);
         }
+        let c = CotsConfig::for_capacity(10).unwrap().with_adaptive(64, 8);
+        assert_eq!(
+            crate::json::to_string(&c),
+            concat!(
+                r#"{"summary":{"capacity":10},"hash_bits":5,"block_entries":4,"#,
+                r#""adaptive":{"sigma":64,"rho":8},"combiner_slots":128}"#
+            )
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The workspace builds without registry access, so instead of `serde` +
 //! `serde_json` the report/config types implement the two traits defined
-//! here by hand. The surface is deliberately tiny:
+//! here. The surface is deliberately tiny:
 //!
 //! * [`Json`] — a JSON document as a tree of values. Integers are kept
 //!   exact (separate [`Json::UInt`]/[`Json::Int`] variants) so `u64`
@@ -11,6 +11,9 @@
 //!   primitives plus `Vec<T>`, `Option<T>` and `[T; N]`.
 //! * [`to_string`] / [`to_string_pretty`] / [`from_str`] — the
 //!   `serde_json`-shaped entry points the harness uses.
+//! * [`json_struct!`](crate::json_struct) — declares a struct and
+//!   implements both traits from its field list; types whose JSON does not
+//!   mirror their fields one to one implement them by hand.
 //!
 //! Enum encodings follow serde's *externally tagged* convention so the
 //! artifact files keep the same shape they had under serde: a unit variant
@@ -741,6 +744,74 @@ impl<T: ToJson + ?Sized> ToJson for &T {
     fn to_json(&self) -> Json {
         (**self).to_json()
     }
+}
+
+/// Declare structs whose JSON form is one object with a member per field.
+///
+/// Each struct is emitted unchanged — attributes, docs and visibility
+/// included — together with a [`ToJson`] that writes the fields in
+/// declaration order under their own names and a [`FromJson`] that
+/// requires every one of them. One type parameter is supported; it is
+/// bounded by the trait being implemented. A struct whose encoding does
+/// anything else (a renamed or derived member, a default for an absent
+/// one, validation on decode) implements the traits by hand instead.
+///
+/// ```
+/// cots_core::json_struct! {
+///     /// A labelled pair.
+///     #[derive(Debug, PartialEq)]
+///     pub struct Pair<K> {
+///         /// The label.
+///         pub key: K,
+///         count: u64,
+///     }
+/// }
+///
+/// let p = Pair { key: "a".to_string(), count: 2 };
+/// let text = cots_core::json::to_string(&p);
+/// assert_eq!(text, r#"{"key":"a","count":2}"#);
+/// assert_eq!(cots_core::json::from_str::<Pair<String>>(&text).unwrap(), p);
+/// assert!(cots_core::json::from_str::<Pair<String>>(r#"{"key":"a"}"#).is_err());
+/// ```
+#[macro_export]
+macro_rules! json_struct {
+    ($(
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident $(<$param:ident>)? {
+            $(
+                $(#[$field_meta:meta])*
+                $field_vis:vis $field:ident : $ty:ty
+            ),* $(,)?
+        }
+    )*) => {
+        $(
+            $(#[$meta])*
+            $vis struct $name $(<$param>)? {
+                $(
+                    $(#[$field_meta])*
+                    $field_vis $field: $ty,
+                )*
+            }
+
+            impl $(<$param: $crate::json::ToJson>)? $crate::json::ToJson for $name $(<$param>)? {
+                fn to_json(&self) -> $crate::json::Json {
+                    $crate::json::Json::obj(vec![
+                        $((stringify!($field), $crate::json::ToJson::to_json(&self.$field)),)*
+                    ])
+                }
+            }
+
+            impl $(<$param: $crate::json::FromJson>)? $crate::json::FromJson
+                for $name $(<$param>)?
+            {
+                fn from_json(v: &$crate::json::Json) -> $crate::json::JsonResult<Self> {
+                    Ok(Self {
+                        $($field: $crate::json::FromJson::from_json(v.field(stringify!($field))?)?,)*
+                    })
+                }
+            }
+        )*
+    };
 }
 
 #[cfg(test)]

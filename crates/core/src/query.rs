@@ -83,13 +83,15 @@ pub enum QueryPeriod {
     Updates(u64),
 }
 
-/// Queries 3/4: a point or set query plus a re-evaluation period.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IntervalQuery<K> {
-    /// What to evaluate.
-    pub query: QueryKind<K>,
-    /// How often.
-    pub period: QueryPeriod,
+crate::json_struct! {
+    /// Queries 3/4: a point or set query plus a re-evaluation period.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct IntervalQuery<K> {
+        /// What to evaluate.
+        pub query: QueryKind<K>,
+        /// How often.
+        pub period: QueryPeriod,
+    }
 }
 
 /// Either query shape, for interval scheduling.
@@ -259,24 +261,6 @@ impl<K: FromJson> FromJson for QueryKind<K> {
     }
 }
 
-impl<K: ToJson> ToJson for IntervalQuery<K> {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("query", self.query.to_json()),
-            ("period", self.period.to_json()),
-        ])
-    }
-}
-
-impl<K: FromJson> FromJson for IntervalQuery<K> {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            query: QueryKind::from_json(v.field("query")?)?,
-            period: QueryPeriod::from_json(v.field("period")?)?,
-        })
-    }
-}
-
 impl<K: ToJson> ToJson for QueryAnswer<K> {
     fn to_json(&self) -> Json {
         match self {
@@ -329,6 +313,10 @@ mod tests {
             period: QueryPeriod::Updates(50_000),
         };
         let json = crate::json::to_string(&q);
+        assert_eq!(
+            json,
+            r#"{"query":{"Set":{"TopK":{"k":25}}},"period":{"Updates":50000}}"#
+        );
         let back: IntervalQuery<u64> = crate::json::from_str(&json).unwrap();
         assert_eq!(q, back);
 

@@ -76,10 +76,12 @@ impl Phase {
     }
 }
 
-/// Accumulated time per phase for one thread.
-#[derive(Debug, Clone, Default)]
-pub struct PhaseTimes {
-    nanos: [u64; NUM_PHASES],
+cots_core::json_struct! {
+    /// Accumulated time per phase for one thread.
+    #[derive(Debug, Clone, Default)]
+    pub struct PhaseTimes {
+        nanos: [u64; NUM_PHASES],
+    }
 }
 
 impl PhaseTimes {
@@ -179,16 +181,18 @@ impl PhaseTimer {
     }
 }
 
-/// An aggregated percentage breakdown across threads — one bar of Figure
-/// 4/5.
-#[derive(Debug, Clone)]
-pub struct Breakdown {
-    /// Thread count of the run the bar describes.
-    pub threads: usize,
-    /// Percentage of total time per phase, aligned with [`ALL_PHASES`].
-    pub percent: [f64; NUM_PHASES],
-    /// Total measured time across threads.
-    pub total_nanos: u64,
+cots_core::json_struct! {
+    /// An aggregated percentage breakdown across threads — one bar of Figure
+    /// 4/5.
+    #[derive(Debug, Clone)]
+    pub struct Breakdown {
+        /// Thread count of the run the bar describes.
+        pub threads: usize,
+        /// Percentage of total time per phase, aligned with [`ALL_PHASES`].
+        pub percent: [f64; NUM_PHASES],
+        /// Total measured time across threads.
+        pub total_nanos: u64,
+    }
 }
 
 impl Breakdown {
@@ -267,54 +271,21 @@ impl FromJson for Phase {
     }
 }
 
-impl ToJson for PhaseTimes {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![("nanos", self.nanos.to_json())])
+cots_core::json_struct! {
+    /// Advisory wall-clock summary over repeated runs of one configuration.
+    ///
+    /// Perf gates must key on *deterministic* work counters; wall clock on a
+    /// shared CI runner is weather, so it is summarized here and reported,
+    /// never gated on.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct ThroughputSummary {
+        /// Median of the observed wall-clock times, in seconds.
+        pub median_secs: f64,
+        /// Fastest observed run, in seconds.
+        pub min_secs: f64,
+        /// Slowest observed run, in seconds.
+        pub max_secs: f64,
     }
-}
-
-impl FromJson for PhaseTimes {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            nanos: <[u64; NUM_PHASES]>::from_json(v.field("nanos")?)?,
-        })
-    }
-}
-
-impl ToJson for Breakdown {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("threads", self.threads.to_json()),
-            ("percent", self.percent.to_json()),
-            ("total_nanos", self.total_nanos.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Breakdown {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            threads: usize::from_json(v.field("threads")?)?,
-            percent: <[f64; NUM_PHASES]>::from_json(v.field("percent")?)?,
-            total_nanos: u64::from_json(v.field("total_nanos")?)?,
-        })
-    }
-}
-
-/// Render a set of breakdowns (one per thread count) as the paper's stacked
-/// Advisory wall-clock summary over repeated runs of one configuration.
-///
-/// Perf gates must key on *deterministic* work counters; wall clock on a
-/// shared CI runner is weather, so it is summarized here and reported,
-/// never gated on.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThroughputSummary {
-    /// Median of the observed wall-clock times, in seconds.
-    pub median_secs: f64,
-    /// Fastest observed run, in seconds.
-    pub min_secs: f64,
-    /// Slowest observed run, in seconds.
-    pub max_secs: f64,
 }
 
 impl ThroughputSummary {
@@ -341,26 +312,7 @@ impl ThroughputSummary {
     }
 }
 
-impl ToJson for ThroughputSummary {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("median_secs", self.median_secs.to_json()),
-            ("min_secs", self.min_secs.to_json()),
-            ("max_secs", self.max_secs.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ThroughputSummary {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            median_secs: f64::from_json(v.field("median_secs")?)?,
-            min_secs: f64::from_json(v.field("min_secs")?)?,
-            max_secs: f64::from_json(v.field("max_secs")?)?,
-        })
-    }
-}
-
+/// Render a set of breakdowns (one per thread count) as the paper's stacked
 /// percentage table, restricted to the phases that are non-zero anywhere.
 pub fn render_breakdown_table(breakdowns: &[Breakdown]) -> String {
     let used: Vec<Phase> = ALL_PHASES
@@ -410,6 +362,7 @@ mod throughput_tests {
             max_secs: 1.0,
         };
         let s = cots_core::json::to_string(&t);
+        assert_eq!(s, r#"{"median_secs":0.5,"min_secs":0.25,"max_secs":1}"#);
         let back: ThroughputSummary = cots_core::json::from_str(&s).unwrap();
         assert_eq!(t, back);
     }
@@ -503,6 +456,14 @@ mod tests {
         t.add(Phase::Counting, Duration::from_nanos(600));
         t.add(Phase::Merge, Duration::from_nanos(400));
         let b = Breakdown::aggregate(2, &[t.clone()]);
+        assert_eq!(
+            cots_core::json::to_string(&b),
+            r#"{"threads":2,"percent":[60,40,0,0,0,0,0],"total_nanos":1000}"#
+        );
+        assert_eq!(
+            cots_core::json::to_string(&t),
+            r#"{"nanos":[600,400,0,0,0,0,0]}"#
+        );
         let back: Breakdown =
             cots_core::json::from_str(&cots_core::json::to_string(&b)).unwrap();
         assert_eq!(back.threads, 2);

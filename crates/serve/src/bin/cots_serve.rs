@@ -5,8 +5,7 @@
 //!            [--window W] [--refresh-ms 20] [--queue-batches 64]
 //!            [--io-model reactor|threads] [--reactor-threads R]
 //!            [--data-dir DIR] [--fsync always|grouped|off]
-//!            [--checkpoint-ms 5000] [--wal-segment-mb 8]
-//!            [--wal-records run|per-batch] [--standby]
+//!            [--checkpoint-ms 5000] [--wal-segment-mb 8] [--standby]
 //! ```
 //!
 //! `--io-model` selects the connection front-end: `reactor` (default) —
@@ -20,7 +19,9 @@
 //! the WAL tail *before* binding the listener, prints a one-line recovery
 //! summary, then logs every ingested batch and checkpoints on the
 //! `--checkpoint-ms` cadence (0 disables the background checkpointer; the
-//! `CHECKPOINT` wire op always works).
+//! `CHECKPOINT` wire op always works). A worker's multi-batch ring drain
+//! is logged as one run record; recovery also reads the older
+//! one-record-per-batch form.
 //!
 //! `--standby` (requires `--data-dir`) starts the node as a replication
 //! standby: it refuses ordinary `INGEST` and instead applies
@@ -44,7 +45,7 @@ fn usage() -> ! {
          [--window W] [--refresh-ms MS] [--queue-batches Q] \
          [--io-model reactor|threads] [--reactor-threads R] \
          [--data-dir DIR] [--fsync always|grouped|off] [--checkpoint-ms MS] \
-         [--wal-segment-mb MB] [--wal-records run|per-batch] [--standby]"
+         [--wal-segment-mb MB] [--standby]"
     );
     std::process::exit(2);
 }
@@ -68,7 +69,6 @@ fn main() {
     let mut fsync = cots_persist::FsyncPolicy::default();
     let mut checkpoint_ms: u64 = 5_000;
     let mut wal_segment_mb: u64 = 8;
-    let mut wal_runs = true;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -86,16 +86,6 @@ fn main() {
             "--fsync" => fsync = parse("--fsync", args.next()),
             "--checkpoint-ms" => checkpoint_ms = parse("--checkpoint-ms", args.next()),
             "--wal-segment-mb" => wal_segment_mb = parse("--wal-segment-mb", args.next()),
-            "--wal-records" => {
-                wal_runs = match parse::<String>("--wal-records", args.next()).as_str() {
-                    "run" => true,
-                    "per-batch" => false,
-                    other => {
-                        eprintln!("--wal-records: expected `run` or `per-batch`, got `{other}`");
-                        usage();
-                    }
-                }
-            }
             "--standby" => config.standby = true,
             "--help" | "-h" => usage(),
             other => {
@@ -117,7 +107,6 @@ fn main() {
         opts.fsync = fsync;
         opts.checkpoint_every = Duration::from_millis(checkpoint_ms);
         opts.segment_bytes = wal_segment_mb.saturating_mul(1024 * 1024).max(1);
-        opts.wal_runs = wal_runs;
         config.persist = Some(opts);
     }
     if io.reactor_threads == 0 {

@@ -59,23 +59,17 @@ pub struct PersistOptions {
     pub checkpoint_every: Duration,
     /// WAL segment rotation threshold, in bytes.
     pub segment_bytes: u64,
-    /// Log multi-batch ring drains as one binary *run* record (one CRC
-    /// frame per drain) instead of one record per batch. Either form
-    /// replays on any build — this knob only trades record overhead
-    /// against frame granularity (`--wal-records per-batch` disables).
-    pub wal_runs: bool,
 }
 
 impl PersistOptions {
     /// Defaults for `data_dir`: grouped fsync, 5 s checkpoints, 8 MiB
-    /// segments, run records on.
+    /// segments.
     pub fn new(data_dir: PathBuf) -> Self {
         Self {
             data_dir,
             fsync: FsyncPolicy::default(),
             checkpoint_every: Duration::from_secs(5),
             segment_bytes: DEFAULT_SEGMENT_BYTES,
-            wal_runs: true,
         }
     }
 }
@@ -101,9 +95,6 @@ pub struct Persistence {
     quiesced: Condvar,
     /// WAL/checkpoint counters for `STATS`.
     pub tally: PersistTally,
-    /// Log multi-batch drains as one run record (see
-    /// [`PersistOptions::wal_runs`]).
-    wal_runs: bool,
     /// Serializes checkpointers (background thread vs. `CHECKPOINT` op).
     ckpt_lock: Mutex<()>,
     /// Oldest WAL sequence a replication peer still needs. Segments at
@@ -138,7 +129,6 @@ impl Persistence {
             unfrozen: Condvar::new(),
             quiesced: Condvar::new(),
             tally: PersistTally::new(),
-            wal_runs: opts.wal_runs,
             ckpt_lock: Mutex::new(()),
             repl_retain: AtomicU64::new(repl_retain),
         })
@@ -172,7 +162,7 @@ impl Persistence {
         self.gate_enter();
         {
             let mut wal = self.wal.lock();
-            if self.wal_runs && burst.len() > 1 {
+            if burst.len() > 1 {
                 // One reservation, one CRC frame for the whole drain.
                 let first = self.next_seq.fetch_add(burst.len() as u64, Ordering::Relaxed);
                 wal.append_run(first, burst);
@@ -183,14 +173,13 @@ impl Persistence {
                     self.tally
                         .wal_record(batch.len() as u64, overhead + 8 * batch.len() as u64);
                 }
-            } else {
-                for batch in burst.iter() {
-                    let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-                    wal.append(seq, batch);
-                    // On-disk footprint of this record: 8 framing + 12
-                    // header + 8 per key.
-                    self.tally.wal_record(batch.len() as u64, 20 + 8 * batch.len() as u64);
-                }
+            } else if let [batch] = burst.as_slice() {
+                // A lone batch keeps the plain single-batch record.
+                let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+                wal.append(seq, batch);
+                // On-disk footprint of this record: 8 framing + 12
+                // header + 8 per key.
+                self.tally.wal_record(batch.len() as u64, 20 + 8 * batch.len() as u64);
             }
             // LOCK-OK: committing under the wal lock is the design — the
             // WAL is one sequential file, writers must not interleave
@@ -549,35 +538,44 @@ mod tests {
 
     #[test]
     fn run_records_recover_identically_to_per_batch_records() {
-        // Same ingest, two on-disk grammars (and a mix, via the
-        // single-batch bursts that stay legacy either way): recovery
-        // must be indistinguishable.
-        let mut recovered = Vec::new();
-        for wal_runs in [true, false] {
-            let dir = temp_dir(if wal_runs { "runs-on" } else { "runs-off" });
-            let mut opts = PersistOptions::new(dir.clone());
-            opts.wal_runs = wal_runs;
-            {
-                let p = Persistence::new(&opts, 0, 64).unwrap();
-                let backend = engine_backend(64);
-                let tally = ShardTally::new();
-                let mut multi = vec![vec![1u64, 2, 3], vec![4u64], vec![]];
-                p.log_and_apply(&mut multi, &backend, &tally);
-                let mut single = vec![vec![5u64, 5]];
-                p.log_and_apply(&mut single, &backend, &tally);
-                assert_eq!(p.next_seq(), 4);
-                let report = p.tally.report();
-                assert_eq!(report.wal_records, 4, "records count logical batches");
-                assert_eq!(report.wal_keys, 6);
-            }
-            let rec = cots_persist::recover(&dir).unwrap();
-            assert_eq!(rec.next_seq, 4);
-            assert_eq!(rec.report.replayed_batches, 4);
-            assert_eq!(rec.report.replayed_items, 6);
-            recovered.push((rec.next_seq, rec.batches));
-            std::fs::remove_dir_all(&dir).unwrap();
+        // A multi-batch drain logs one run record and a lone batch a
+        // single-batch record; recovery replays the mix batch for batch.
+        // (Run ≡ single-batch equivalence over arbitrary batches is
+        // property-tested in `cots-persist`'s `wal_record_props`.)
+        let dir = temp_dir("runs");
+        let opts = PersistOptions::new(dir.clone());
+        {
+            let p = Persistence::new(&opts, 0, 64).unwrap();
+            let backend = engine_backend(64);
+            let tally = ShardTally::new();
+            let mut multi = vec![vec![1u64, 2, 3], vec![4u64], vec![]];
+            p.log_and_apply(&mut multi, &backend, &tally);
+            let mut single = vec![vec![5u64, 5]];
+            p.log_and_apply(&mut single, &backend, &tally);
+            assert_eq!(p.next_seq(), 4);
+            let report = p.tally.report();
+            assert_eq!(report.wal_records, 4, "records count logical batches");
+            assert_eq!(report.wal_keys, 6);
         }
-        assert_eq!(recovered[0], recovered[1], "recovery must not depend on record grammar");
+        let rec = cots_persist::recover(&dir).unwrap();
+        assert_eq!(rec.next_seq, 4);
+        assert_eq!(rec.report.replayed_batches, 4);
+        assert_eq!(rec.report.replayed_items, 6);
+        let batches: Vec<(u64, Vec<u64>)> = rec
+            .batches
+            .iter()
+            .map(|b| (b.seq, b.keys.clone()))
+            .collect();
+        assert_eq!(
+            batches,
+            vec![
+                (0, vec![1, 2, 3]),
+                (1, vec![4]),
+                (2, vec![]),
+                (3, vec![5, 5]),
+            ]
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -175,49 +175,35 @@ pub enum Request {
     ReplPromote,
 }
 
-/// One replicated WAL batch on the wire: the primary's log sequence
-/// number and the keys the batch applied, in stream order. Mirrors
-/// `cots_persist::WalBatch` but lives in the protocol vocabulary so the
-/// wire format is self-contained.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplFrame {
-    /// The primary's WAL sequence number for this batch.
-    pub seq: u64,
-    /// The keys the batch carries, in stream order.
-    pub keys: Vec<u64>,
-}
-
-impl ToJson for ReplFrame {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("seq", self.seq.to_json()),
-            ("keys", self.keys.to_json()),
-        ])
+cots_core::json_struct! {
+    /// One replicated WAL batch on the wire: the primary's log sequence
+    /// number and the keys the batch applied, in stream order. Mirrors
+    /// `cots_persist::WalBatch` but lives in the protocol vocabulary so the
+    /// wire format is self-contained.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ReplFrame {
+        /// The primary's WAL sequence number for this batch.
+        pub seq: u64,
+        /// The keys the batch carries, in stream order.
+        pub keys: Vec<u64>,
     }
 }
 
-impl FromJson for ReplFrame {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            seq: u64::from_json(v.field("seq")?)?,
-            keys: Vec::<u64>::from_json(v.field("keys")?)?,
-        })
+cots_core::json_struct! {
+    /// Provenance stamp on every answer: which snapshot it came from and how
+    /// stale that snapshot was at answer time.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct QueryStamp {
+        /// Publisher epoch of the snapshot the answer was computed from.
+        pub epoch: u64,
+        /// Backend items applied when the snapshot was captured.
+        pub captured_total: u64,
+        /// Items applied after capture (staleness bound: the answer may miss
+        /// at most this many most-recent items).
+        pub staleness: u64,
+        /// Window rotation count at capture (`None` on the unwindowed path).
+        pub rotations: Option<u64>,
     }
-}
-
-/// Provenance stamp on every answer: which snapshot it came from and how
-/// stale that snapshot was at answer time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct QueryStamp {
-    /// Publisher epoch of the snapshot the answer was computed from.
-    pub epoch: u64,
-    /// Backend items applied when the snapshot was captured.
-    pub captured_total: u64,
-    /// Items applied after capture (staleness bound: the answer may miss
-    /// at most this many most-recent items).
-    pub staleness: u64,
-    /// Window rotation count at capture (`None` on the unwindowed path).
-    pub rotations: Option<u64>,
 }
 
 /// One server→client message.
@@ -452,28 +438,6 @@ impl FromJson for Request {
             ("ReplPromote", None) => Ok(Request::ReplPromote),
             (name, _) => Err(JsonError(format!("unknown Request variant `{name}`"))),
         }
-    }
-}
-
-impl ToJson for QueryStamp {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("epoch", self.epoch.to_json()),
-            ("captured_total", self.captured_total.to_json()),
-            ("staleness", self.staleness.to_json()),
-            ("rotations", self.rotations.to_json()),
-        ])
-    }
-}
-
-impl FromJson for QueryStamp {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            epoch: u64::from_json(v.field("epoch")?)?,
-            captured_total: u64::from_json(v.field("captured_total")?)?,
-            staleness: u64::from_json(v.field("staleness")?)?,
-            rotations: Option::<u64>::from_json(v.field("rotations")?)?,
-        })
     }
 }
 
@@ -715,13 +679,18 @@ mod tests {
             lineage: 2,
             next_seq: 40,
         });
+        let frame = ReplFrame {
+            seq: 17,
+            keys: vec![1, 2, u64::MAX],
+        };
+        assert_eq!(
+            cots_core::json::to_string(&frame),
+            r#"{"seq":17,"keys":[1,2,18446744073709551615]}"#
+        );
         round_trip_request(Request::ReplBatch {
             lineage: 2,
             batches: vec![
-                ReplFrame {
-                    seq: 17,
-                    keys: vec![1, 2, u64::MAX],
-                },
+                frame,
                 ReplFrame {
                     seq: 18,
                     keys: vec![],
@@ -748,6 +717,10 @@ mod tests {
             staleness: 7,
             rotations: Some(2),
         };
+        assert_eq!(
+            cots_core::json::to_string(&stamp),
+            r#"{"epoch":3,"captured_total":100,"staleness":7,"rotations":2}"#
+        );
         round_trip_response(Response::HelloAck {
             proto_version: PROTO_VERSION,
             features: vec!["snapshot-page".into(), "cluster".into()],

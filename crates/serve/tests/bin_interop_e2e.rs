@@ -54,6 +54,14 @@ fn settle(client: &mut Client, total: u64) {
     panic!("ingested mass never became visible");
 }
 
+/// The snapshot epoch a JSON query answer was computed from.
+fn answer_epoch(payload: &Payload) -> u64 {
+    match Client::decode_response(payload).expect("decode") {
+        Response::Answer { stamp, .. } => stamp.epoch,
+        other => panic!("expected an answer, got {other:?}"),
+    }
+}
+
 /// A protocol-v3 client that never advertises `"bin"` gets pure JSON
 /// frames back — and sees exactly the same answers as a v4 binary
 /// client on the same server.
@@ -103,12 +111,24 @@ fn json_only_v3_client_interoperates_with_binary_server() {
         }
 
         // Same question, both encodings of client: byte-identical JSON
-        // answers (queries are JSON on every connection).
+        // answers (queries are JSON on every connection). The publisher
+        // republishes every 2 ms, so a pair straddling a new epoch is
+        // asked again: only answers cut from one snapshot are comparable.
         settle(&mut modern, 6);
-        modern.send(&Request::Query(QueryReq::TopK { k: 64 })).unwrap();
-        let modern_raw = modern.recv_payload().expect("modern answer");
-        legacy.send(&Request::Query(QueryReq::TopK { k: 64 })).unwrap();
-        let legacy_raw = legacy.recv_payload().expect("legacy answer");
+        let (modern_raw, legacy_raw) = (0..100)
+            .map(|_| {
+                modern
+                    .send(&Request::Query(QueryReq::TopK { k: 64 }))
+                    .unwrap();
+                let modern_raw = modern.recv_payload().expect("modern answer");
+                legacy
+                    .send(&Request::Query(QueryReq::TopK { k: 64 }))
+                    .unwrap();
+                let legacy_raw = legacy.recv_payload().expect("legacy answer");
+                (modern_raw, legacy_raw)
+            })
+            .find(|(m, l)| answer_epoch(m) == answer_epoch(l))
+            .expect("two answers from one snapshot epoch");
         assert!(!modern_raw.is_bin() && !legacy_raw.is_bin(), "model {model}");
         assert_eq!(
             modern_raw.bytes(),

@@ -552,6 +552,16 @@ mod tests {
         let members = item_members(&lines, "ServiceReport", false).unwrap();
         let names: Vec<&str> = members.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["ingested_keys", "shards"]);
+
+        // The same struct declared through `json_struct!`, after another
+        // report in the same invocation.
+        let src = "crate::json_struct! {\n    /// Per shard.\n    pub struct ShardReport {\n        pub shard: usize,\n    }\n\n    /// Doc.\n    #[derive(Debug)]\n    pub struct ServiceReport {\n        /// Doc.\n        pub ingested_keys: u64,\n        pub shards: Vec<ShardReport>,\n        hidden: u8,\n    }\n}\n";
+        let lines = lex(src);
+        let members = item_members(&lines, "ServiceReport", false).unwrap();
+        let names: Vec<(&str, usize)> = members.iter().map(|(n, l)| (n.as_str(), *l)).collect();
+        assert_eq!(names, vec![("ingested_keys", 11), ("shards", 12)]);
+        let members = item_members(&lines, "ShardReport", false).unwrap();
+        assert_eq!(members, vec![("shard".to_string(), 4)]);
     }
 
     #[test]
