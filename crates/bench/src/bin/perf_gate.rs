@@ -40,22 +40,22 @@
 //! perf-gate [--seed S] [--threads T1,T2,...]
 //! ```
 //!
-//! with `PERF_GATE_SEED` / `PERF_GATE_THREADS` as env-var equivalents
-//! (CLI wins over env, env over the defaults 42 and 1,4). The baseline
-//! comparison only fires when the baseline file was recorded with the
-//! same seed *and* stream length; anything else is not comparable and is
-//! ignored.
+//! (defaults 42 and 1,4). The baseline comparison only fires when the
+//! baseline file was recorded with the same seed *and* stream length;
+//! anything else is not comparable and is ignored.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
 use cots_bench::engines::{run_cots_frontend, run_sequential, run_shared_batched};
-use cots_bench::harness::CAPACITY;
+use cots_bench::harness::{Scale, CAPACITY};
+use cots_bench::service::{repo_root, write_bench};
 use cots_core::json::{Json, ToJson};
 use cots_core::{ConcurrentCounter, RunStats, WorkCounters};
 use cots_datagen::StreamSpec;
 use cots_naive::LockKind;
 use cots_profiling::ThroughputSummary;
+use cots_serve::cli::Args;
 
 /// Relative crossings/element increase vs. baseline that fails the gate.
 /// Multi-thread interleaving makes the counter nondeterministic within a
@@ -70,17 +70,8 @@ const BATCH: usize = 2048;
 const DEFAULT_SEED: u64 = 42;
 const DEFAULT_THREADS: &[usize] = &[1, 4];
 
-/// Runtime knobs: CLI flags win over env vars, env vars over defaults.
-struct GateArgs {
-    seed: u64,
-    threads: Vec<usize>,
-}
-
-fn usage() -> ! {
-    eprintln!("usage: perf-gate [--seed S] [--threads T1,T2,...]");
-    eprintln!("env: PERF_GATE_SEED, PERF_GATE_THREADS, PERF_GATE_SCALE, REPRO_REPEATS");
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: perf-gate [--seed S] [--threads T1,T2,...]\n\
+     env: PERF_GATE_SCALE, REPRO_REPEATS";
 
 /// Parse a comma-separated thread list: positive, deduped, ascending.
 fn parse_threads(raw: &str) -> Option<Vec<usize>> {
@@ -93,41 +84,24 @@ fn parse_threads(raw: &str) -> Option<Vec<usize>> {
     (!out.is_empty()).then_some(out)
 }
 
-fn gate_args() -> GateArgs {
-    let mut seed = std::env::var("PERF_GATE_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_SEED);
-    let mut threads = std::env::var("PERF_GATE_THREADS")
-        .ok()
-        .and_then(|v| parse_threads(&v))
-        .unwrap_or_else(|| DEFAULT_THREADS.to_vec());
-    let mut args = std::env::args().skip(1);
+/// `(seed, threads)` from the command line.
+fn gate_args() -> (u64, Vec<usize>) {
+    let mut seed = DEFAULT_SEED;
+    let mut threads = DEFAULT_THREADS.to_vec();
+    let mut args = Args::from_env(USAGE);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--seed" => {
-                seed = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--seed needs an integer value");
-                    usage();
-                })
-            }
+            "--seed" => seed = args.value(&arg),
             "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|v| parse_threads(&v))
-                    .unwrap_or_else(|| {
-                        eprintln!("--threads needs a comma-separated list of positive integers");
-                        usage();
-                    })
+                let raw: String = args.value(&arg);
+                threads = parse_threads(&raw).unwrap_or_else(|| {
+                    args.fail("--threads needs a comma-separated list of positive integers")
+                });
             }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag `{other}`");
-                usage();
-            }
+            other => args.unknown(other),
         }
     }
-    GateArgs { seed, threads }
+    (seed, threads)
 }
 
 cots_core::json_struct! {
@@ -202,23 +176,6 @@ impl ToJson for RunRecord {
     }
 }
 
-/// The repo root: two levels above this crate's manifest.
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench sits two levels under the repo root")
-        .to_path_buf()
-}
-
-fn repeats() -> usize {
-    std::env::var("REPRO_REPEATS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3usize)
-        .max(1)
-}
-
 fn stream_len() -> usize {
     let scale: f64 = std::env::var("PERF_GATE_SCALE")
         .ok()
@@ -269,13 +226,12 @@ fn load_baseline(path: &Path, n: usize, seed: u64) -> Option<Vec<(String, f64)>>
 }
 
 fn main() {
-    let GateArgs { seed, threads } = gate_args();
+    let (seed, threads) = gate_args();
     let n = stream_len();
-    let reps = repeats();
+    let reps = Scale::from_env().repeats;
     let alphabet = (n / 20).max(100);
     let shared_threads = *threads.iter().max().expect("thread list is non-empty");
-    let out_path = repo_root().join("BENCH_ingest.json");
-    let baseline = load_baseline(&out_path, n, seed);
+    let baseline = load_baseline(&repo_root().join("BENCH_ingest.json"), n, seed);
     println!(
         "perf-gate: n={n} alphabet={alphabet} capacity={CAPACITY} repeats={reps} seed={seed} \
          threads={threads:?} baseline={}",
@@ -419,11 +375,7 @@ fn main() {
             ]),
         ),
     ]);
-    if let Err(e) = std::fs::write(&out_path, report.pretty()) {
-        eprintln!("error: could not write {}: {e}", out_path.display());
-        std::process::exit(1);
-    }
-    println!("wrote {}", out_path.display());
+    write_bench("BENCH_ingest.json", &report);
 
     for c in &checks {
         println!("[{}] {} — {}", if c.pass { "PASS" } else { "FAIL" }, c.name, c.detail);

@@ -20,23 +20,22 @@
 //! recovery-bench [--items N] [--alphabet A] [--capacity C] [--seed S]
 //!                [--batch B] [--repeats R]
 //! ```
-//!
-//! `RECOVERY_BENCH_ITEMS` overrides the default stream length (used by
-//! the CI smoke job to keep runtime bounded).
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 
 use cots::CotsEngine;
+use cots_bench::service::{write_bench, Scratch};
 use cots_core::json::{Json, ToJson};
 use cots_core::merge::merge_snapshots;
 use cots_core::{CotsConfig, QueryableSummary, Snapshot, SummaryConfig, Threshold};
-use cots_datagen::{ExactCounter, StreamSpec};
+use cots_datagen::{EnvelopeCheck, ExactCounter, StreamSpec};
 use cots_persist::{
     load_checkpoint, recover, write_checkpoint, Checkpoint, FsyncPolicy, WalWriter,
     DEFAULT_SEGMENT_BYTES,
 };
 use cots_sequential::SpaceSaving;
+use cots_serve::cli::Args;
 
 struct BenchArgs {
     items: usize,
@@ -63,70 +62,27 @@ impl Default for BenchArgs {
 const ALPHA: f64 = 1.5;
 const PHI: f64 = 0.01;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: recovery-bench [--items N] [--alphabet A] [--capacity C] \
-         [--seed S] [--batch B] [--repeats R]"
-    );
-    std::process::exit(2);
-}
-
-fn parse<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
-    let Some(raw) = value else {
-        eprintln!("{flag} needs a value");
-        usage();
-    };
-    raw.parse().unwrap_or_else(|_| {
-        eprintln!("{flag}: cannot parse `{raw}`");
-        usage();
-    })
-}
+const USAGE: &str = "usage: recovery-bench [--items N] [--alphabet A] [--capacity C] \
+     [--seed S] [--batch B] [--repeats R]";
 
 fn bench_args() -> BenchArgs {
     let mut a = BenchArgs::default();
-    if let Some(items) = std::env::var("RECOVERY_BENCH_ITEMS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        a.items = items;
-    }
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env(USAGE);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--items" => a.items = parse("--items", args.next()),
-            "--alphabet" => a.alphabet = parse("--alphabet", args.next()),
-            "--capacity" => a.capacity = parse("--capacity", args.next()),
-            "--seed" => a.seed = parse("--seed", args.next()),
-            "--batch" => a.batch = parse("--batch", args.next()),
-            "--repeats" => a.repeats = parse("--repeats", args.next()),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag `{other}`");
-                usage();
-            }
+            "--items" => a.items = args.value(&arg),
+            "--alphabet" => a.alphabet = args.value(&arg),
+            "--capacity" => a.capacity = args.value(&arg),
+            "--seed" => a.seed = args.value(&arg),
+            "--batch" => a.batch = args.value(&arg),
+            "--repeats" => a.repeats = args.value(&arg),
+            other => args.unknown(other),
         }
     }
     if a.items == 0 || a.capacity == 0 || a.batch == 0 || a.repeats == 0 {
-        eprintln!("--items, --capacity, --batch and --repeats must be positive");
-        usage();
+        args.fail("--items, --capacity, --batch and --repeats must be positive");
     }
     a
-}
-
-/// The repo root: two levels above this crate's manifest.
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench sits two levels under the repo root")
-        .to_path_buf()
-}
-
-fn work_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cots-recovery-bench-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create bench work dir");
-    dir
 }
 
 /// Sequential Space-Saving summary of `stream` at `capacity`.
@@ -189,12 +145,13 @@ fn main() {
         a.items, a.alphabet, a.capacity, a.seed, a.batch, a.repeats
     );
     let stream = StreamSpec::zipf(a.items, a.alphabet, ALPHA, a.seed).generate();
+    let scratch = Scratch::new("cots-recovery-bench");
 
     // ---- 1. Checkpoint codec: write/load latency at full capacity. ----
     let full_summary = summarize(&stream, a.capacity);
     let nbatches = stream.len().div_ceil(a.batch) as u64;
     let ckpt = Checkpoint::from_snapshot(nbatches, 1, a.capacity, &full_summary);
-    let dir = work_dir("ckpt");
+    let dir = scratch.fresh("ckpt").expect("create bench work dir");
     let mut ckpt_bytes = 0u64;
     let mut write_secs = f64::INFINITY;
     let mut load_secs = f64::INFINITY;
@@ -208,7 +165,6 @@ fn main() {
         load_secs = load_secs.min(start.elapsed().as_secs_f64());
         assert_eq!(loaded, ckpt, "checkpoint round trip must be lossless");
     }
-    let _ = std::fs::remove_dir_all(&dir);
     println!(
         "checkpoint: {} entries, {ckpt_bytes} bytes, write {:.3} ms, load {:.3} ms",
         ckpt.entries.len(),
@@ -223,12 +179,11 @@ fn main() {
         let mut bytes = 0u64;
         let mut syncs = 0u64;
         for _ in 0..a.repeats {
-            let dir = work_dir("wal");
+            let dir = scratch.fresh("wal").expect("create bench work dir");
             let (_, secs, b, s) = fill_wal(&dir, &stream, 0, a.batch, policy);
             best_secs = best_secs.min(secs);
             bytes = b;
             syncs = s;
-            let _ = std::fs::remove_dir_all(&dir);
         }
         let meps = a.items as f64 / best_secs.max(1e-9) / 1e6;
         println!("wal append [{policy}]: {meps:.2} M items/s ({bytes} bytes, {syncs} syncs)");
@@ -245,7 +200,7 @@ fn main() {
     let mut recovery_rows = Vec::new();
     for pct in [25usize, 50, 100] {
         let take = a.items * pct / 100;
-        let dir = work_dir("recovery");
+        let dir = scratch.fresh("recovery").expect("create bench work dir");
         fill_wal(&dir, &stream[..take], 0, a.batch, FsyncPolicy::Off);
         let (recovered, scan_secs, replay_secs, base, _) = recover_and_replay(&dir, a.capacity);
         assert!(base.is_none(), "no checkpoint was written for this row");
@@ -265,43 +220,31 @@ fn main() {
             ("replay_secs", replay_secs.to_json()),
             ("meps", meps.to_json()),
         ]));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     // ---- 4. Correctness gate: checkpoint ∪ WAL vs exact truth. ----
     let half = a.items / 2;
     let half_batches = half.div_ceil(a.batch) as u64;
-    let dir = work_dir("gate");
+    let dir = scratch.fresh("gate").expect("create bench work dir");
     let base_ckpt = Checkpoint::from_snapshot(half_batches, 1, a.capacity, &summarize(&stream[..half], a.capacity));
     write_checkpoint(&dir, &base_ckpt).unwrap();
     fill_wal(&dir, &stream[half..], half_batches, a.batch, FsyncPolicy::Off);
     let (recovered, _, _, base, live) = recover_and_replay(&dir, a.capacity);
-    let _ = std::fs::remove_dir_all(&dir);
+    drop(scratch);
     assert_eq!(recovered, a.items as u64, "clean directory recovers everything");
     let merged = merge_snapshots(&[base.expect("checkpoint present").snapshot(), live], a.capacity);
 
     let truth = ExactCounter::from_stream(&stream);
     let threshold = Threshold::Fraction(PHI).resolve(a.items as u64);
-    let truly: Vec<(u64, u64)> = truth.frequent(Threshold::Count(threshold));
-    let reported = merged.frequent(Threshold::Count(threshold));
-    let missed = truly
-        .iter()
-        .filter(|(k, _)| !reported.iter().any(|e| e.item == *k))
-        .count();
-    let bound_violations = merged
-        .entries()
-        .iter()
-        .filter(|e| {
-            let t = truth.count(&e.item);
-            !(e.count >= t && e.count - e.error <= t)
-        })
-        .count();
-    let passed = missed == 0 && bound_violations == 0 && merged.total() == a.items as u64;
+    let reported = merged.frequent(Threshold::Count(threshold)).len();
+    let envelope = EnvelopeCheck::of(merged.entries(), &truth, threshold);
+    let passed = envelope.passed() && merged.total() == a.items as u64;
     println!(
-        "correctness: threshold={threshold} truly_frequent={} reported={} missed={missed} \
-         bound_violations={bound_violations} => {}",
-        truly.len(),
-        reported.len(),
+        "correctness: threshold={threshold} truly_frequent={} reported={reported} missed={} \
+         bound_violations={} => {}",
+        envelope.truly_frequent,
+        envelope.missed,
+        envelope.bound_violations,
         if passed { "PASS" } else { "FAIL" }
     );
 
@@ -333,20 +276,15 @@ fn main() {
             "correctness",
             Json::obj(vec![
                 ("threshold", threshold.to_json()),
-                ("truly_frequent", truly.len().to_json()),
-                ("reported", reported.len().to_json()),
-                ("missed", missed.to_json()),
-                ("bound_violations", bound_violations.to_json()),
+                ("truly_frequent", envelope.truly_frequent.to_json()),
+                ("reported", reported.to_json()),
+                ("missed", envelope.missed.to_json()),
+                ("bound_violations", envelope.bound_violations.to_json()),
                 ("passed", passed.to_json()),
             ]),
         ),
     ]);
-    let out_path = repo_root().join("BENCH_recovery.json");
-    if let Err(e) = std::fs::write(&out_path, report.pretty()) {
-        eprintln!("recovery-bench: cannot write {}: {e}", out_path.display());
-        std::process::exit(1);
-    }
-    println!("wrote {}", out_path.display());
+    write_bench("BENCH_recovery.json", &report);
     if !passed {
         eprintln!("recovery-bench: recovered answers violated the Space Saving guarantee");
         std::process::exit(1);

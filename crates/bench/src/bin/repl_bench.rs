@@ -28,19 +28,19 @@
 //!   the acked stream, and every sufficiently heavy exact hitter is
 //!   monitored.
 
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use cots_bench::service::{best_of, or_exit, write_bench, Node, Scratch};
 use cots_core::json::{Json, ToJson};
 use cots_core::Threshold;
-use cots_datagen::{ExactCounter, StreamSpec};
+use cots_datagen::{EnvelopeCheck, ExactCounter, StreamSpec};
 use cots_persist::FsyncPolicy;
 use cots_repl::{spawn as spawn_shipper, ShipperConfig};
+use cots_serve::cli::Args;
 use cots_serve::loadgen::{self, LoadConfig};
 use cots_serve::persistence::PersistOptions;
 use cots_serve::protocol::QueryReq;
-use cots_serve::{Client, LoadReport, Request, Response, Server, ServiceConfig};
+use cots_serve::{Client, IoConfig, LoadReport, Request, Response, ServiceConfig};
 
 struct BenchArgs {
     items: u64,
@@ -78,73 +78,51 @@ impl Default for BenchArgs {
     }
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: repl-bench [--items N] [--batch B] [--alphabet A] [--alpha Z] [--seed S] \
-         [--capacity C] [--connections K] [--shards S] [--queue-batches Q] \
-         [--fsync always|grouped|off] [--repeats R] [--parity-floor F] [--rto-secs S]"
-    );
-    std::process::exit(2);
-}
-
-fn parse<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
-    let Some(raw) = value else {
-        eprintln!("{flag} needs a value");
-        usage();
-    };
-    raw.parse().unwrap_or_else(|_| {
-        eprintln!("{flag}: cannot parse `{raw}`");
-        usage();
-    })
-}
+const USAGE: &str =
+    "usage: repl-bench [--items N] [--batch B] [--alphabet A] [--alpha Z] [--seed S] \
+     [--capacity C] [--connections K] [--shards S] [--queue-batches Q] \
+     [--fsync always|grouped|off] [--repeats R] [--parity-floor F] [--rto-secs S]";
 
 fn bench_args() -> BenchArgs {
     let mut a = BenchArgs::default();
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env(USAGE);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--items" => a.items = parse("--items", args.next()),
-            "--batch" => a.batch = parse("--batch", args.next()),
-            "--alphabet" => a.alphabet = parse("--alphabet", args.next()),
-            "--alpha" => a.alpha = parse("--alpha", args.next()),
-            "--seed" => a.seed = parse("--seed", args.next()),
-            "--capacity" => a.capacity = parse("--capacity", args.next()),
-            "--connections" => a.connections = parse("--connections", args.next()),
-            "--shards" => a.shards = parse("--shards", args.next()),
-            "--queue-batches" => a.queue_batches = parse("--queue-batches", args.next()),
-            "--fsync" => a.fsync = parse("--fsync", args.next()),
-            "--repeats" => a.repeats = parse("--repeats", args.next()),
-            "--parity-floor" => a.parity_floor = parse("--parity-floor", args.next()),
-            "--rto-secs" => a.rto_secs = parse("--rto-secs", args.next()),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag `{other}`");
-                usage();
-            }
+            "--items" => a.items = args.value(&arg),
+            "--batch" => a.batch = args.value(&arg),
+            "--alphabet" => a.alphabet = args.value(&arg),
+            "--alpha" => a.alpha = args.value(&arg),
+            "--seed" => a.seed = args.value(&arg),
+            "--capacity" => a.capacity = args.value(&arg),
+            "--connections" => a.connections = args.value(&arg),
+            "--shards" => a.shards = args.value(&arg),
+            "--queue-batches" => a.queue_batches = args.value(&arg),
+            "--fsync" => a.fsync = args.value(&arg),
+            "--repeats" => a.repeats = args.value(&arg),
+            "--parity-floor" => a.parity_floor = args.value(&arg),
+            "--rto-secs" => a.rto_secs = args.value(&arg),
+            other => args.unknown(other),
         }
     }
     if a.items == 0 || a.batch == 0 || a.capacity == 0 || a.connections == 0 || a.repeats == 0 {
-        eprintln!("--items, --batch, --capacity, --connections and --repeats must be positive");
-        usage();
+        args.fail("--items, --batch, --capacity, --connections and --repeats must be positive");
     }
     a
 }
 
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench sits two levels under the repo root")
-        .to_path_buf()
-}
-
-fn bind_node(a: &BenchArgs, dir: PathBuf, standby: bool, peer: Option<String>) -> Result<Server, String> {
-    let mut persist = PersistOptions::new(dir);
+/// Start one durable node in `scratch/tag`.
+fn start_node(
+    a: &BenchArgs,
+    scratch: &Scratch,
+    tag: &str,
+    standby: bool,
+    peer: Option<String>,
+) -> Result<Node, String> {
+    let mut persist = PersistOptions::new(scratch.fresh(tag)?);
     persist.fsync = a.fsync;
     // Keep checkpoints out of the measured window.
     persist.checkpoint_every = Duration::from_secs(120);
-    Server::bind(
-        "127.0.0.1:0",
+    Node::serve(
         ServiceConfig {
             shards: a.shards,
             capacity: a.capacity,
@@ -155,45 +133,8 @@ fn bind_node(a: &BenchArgs, dir: PathBuf, standby: bool, peer: Option<String>) -
             repl_peer: peer,
             ..Default::default()
         },
+        IoConfig::default(),
     )
-    .map_err(|e| format!("bind node: {e}"))
-}
-
-struct Node {
-    addr: String,
-    service: Arc<cots_serve::Service>,
-    thread: std::thread::JoinHandle<std::io::Result<()>>,
-    dir: PathBuf,
-}
-
-fn start_node(a: &BenchArgs, tag: &str, standby: bool, peer: Option<String>) -> Result<Node, String> {
-    let dir = std::env::temp_dir()
-        .join(format!("cots-repl-bench-{}", std::process::id()))
-        .join(tag);
-    let _ = std::fs::remove_dir_all(&dir);
-    let server = bind_node(a, dir.clone(), standby, peer)?;
-    let addr = server.local_addr().to_string();
-    let service = server.service().clone();
-    Ok(Node {
-        addr,
-        service,
-        thread: std::thread::spawn(move || server.run()),
-        dir,
-    })
-}
-
-fn stop_node(node: Node) -> Result<(), String> {
-    Client::connect(&node.addr)
-        .map_err(cots_core::CotsError::from)
-        .and_then(|mut c| c.shutdown())
-        .map_err(|e| format!("node shutdown: {e}"))?;
-    match node.thread.join() {
-        Ok(Ok(())) => {}
-        Ok(Err(e)) => return Err(format!("node: {e}")),
-        Err(_) => return Err("node thread panicked".into()),
-    }
-    let _ = std::fs::remove_dir_all(&node.dir);
-    Ok(())
 }
 
 fn drive(a: &BenchArgs, addr: &str, check: bool) -> Result<LoadReport, String> {
@@ -203,24 +144,21 @@ fn drive(a: &BenchArgs, addr: &str, check: bool) -> Result<LoadReport, String> {
         alphabet: a.alphabet,
         alpha: a.alpha,
         seed: a.seed,
-        resume_from: 0,
         batch: a.batch,
         connections: a.connections,
         qps: 0,
-        phi: 0.01,
         check,
-        wire: cots_serve::WireMode::Auto,
+        ..LoadConfig::default()
     })
     .map_err(|e| format!("load: {e}"))
 }
 
 /// The unreplicated baseline: one durable server, no shipping.
-fn direct_pass(a: &BenchArgs, rep: usize, check: bool) -> Result<LoadReport, String> {
-    let node = start_node(a, &format!("direct-{rep}"), false, None)?;
-    let result = drive(a, &node.addr, check);
-    let stopped = stop_node(node);
-    let report = result?;
-    stopped?;
+fn direct_pass(a: &BenchArgs, check: bool) -> Result<LoadReport, String> {
+    let scratch = Scratch::new("cots-repl-bench");
+    let node = start_node(a, &scratch, "direct", false, None)?;
+    let report = drive(a, &node.addr, check)?;
+    node.stop()?;
     Ok(report)
 }
 
@@ -261,66 +199,56 @@ fn check_accuracy(a: &BenchArgs, standby_addr: &str) -> Result<(), String> {
     let stream = StreamSpec::zipf(a.items as usize, a.alphabet, a.alpha, a.seed).generate();
     let exact = ExactCounter::from_stream(&stream);
     let mut client = Client::connect(standby_addr).map_err(|e| format!("connect standby: {e}"))?;
-    let (entries, total, _) = client
+    let (mut entries, total, _) = client
         .query(QueryReq::TopK { k: 50 })
         .map_err(|e| format!("standby query: {e}"))?;
     if total != a.items {
         return Err(format!("standby total {total} != streamed {}", a.items));
     }
-    for e in &entries {
-        let truth = exact.count(&e.item);
-        if !(e.count >= truth && truth >= e.count - e.error) {
-            return Err(format!(
-                "envelope violated for {}: count={} error={} truth={truth}",
-                e.item, e.count, e.error
-            ));
-        }
-    }
     // Every exact hitter above 1% of the mass must be monitored and
     // inside the envelope (the summary holds `capacity` counters; a
     // 1%-heavy key cannot have been evicted).
-    let hitters = exact.frequent(Threshold::Fraction(0.01));
+    let threshold = Threshold::Fraction(0.01).resolve(a.items);
+    let hitters = exact.frequent(Threshold::Count(threshold));
     if hitters.is_empty() {
         return Err("no exact hitter crossed 1% — accuracy check checked nothing".into());
     }
-    for (key, truth) in hitters {
+    for (key, _) in hitters {
         let (point, _, _) = client
             .query(QueryReq::Point { key })
             .map_err(|e| format!("standby point: {e}"))?;
-        let Some(e) = point.first() else {
-            return Err(format!("heavy key {key} (exact {truth}) is not monitored"));
-        };
-        if !(e.count >= truth && truth >= e.count - e.error) {
-            return Err(format!(
-                "envelope violated for heavy key {key}: count={} error={} truth={truth}",
-                e.count, e.error
-            ));
-        }
+        entries.extend(point.first().copied());
+    }
+    let envelope = EnvelopeCheck::of(&entries, &exact, threshold);
+    if !envelope.passed() {
+        return Err(format!(
+            "{} of {} heavy keys not monitored, {} answers outside the envelope",
+            envelope.missed, envelope.truly_frequent, envelope.bound_violations
+        ));
     }
     Ok(())
 }
 
-struct PairOutcome {
-    report: LoadReport,
-    rto_secs: Option<f64>,
-    accuracy_ok: Option<bool>,
+/// What the failover repeat measured.
+struct Failover {
+    rto_secs: f64,
+    accuracy_ok: bool,
 }
 
 /// One pair pass: standby + primary + live WAL shipper, one measured
 /// load run; on the failover repeat the primary is then torn down and
 /// the promotion clock runs.
-fn pair_pass(a: &BenchArgs, rep: usize, failover: bool) -> Result<PairOutcome, String> {
-    let standby = start_node(a, &format!("pair-{rep}-standby"), true, None)?;
-    let primary = start_node(
-        a,
-        &format!("pair-{rep}-primary"),
-        false,
-        Some(standby.addr.clone()),
-    )?;
+fn pair_pass(a: &BenchArgs, failover: bool) -> Result<(LoadReport, Option<Failover>), String> {
+    let scratch = Scratch::new("cots-repl-bench");
+    let standby = start_node(a, &scratch, "standby", true, None)?;
+    let primary = start_node(a, &scratch, "primary", false, Some(standby.addr.clone()))?;
+    let service = primary
+        .service
+        .clone()
+        .expect("a server node carries its service");
     let mut cfg = ShipperConfig::new(standby.addr.clone());
     cfg.poll_interval = Duration::from_millis(2);
-    let shipper =
-        spawn_shipper(primary.service.clone(), cfg).map_err(|e| format!("shipper: {e}"))?;
+    let shipper = spawn_shipper(service.clone(), cfg).map_err(|e| format!("shipper: {e}"))?;
 
     let result = drive(a, &primary.addr, failover);
 
@@ -330,7 +258,7 @@ fn pair_pass(a: &BenchArgs, rep: usize, failover: bool) -> Result<PairOutcome, S
     let drained = (|| -> Result<(), String> {
         let deadline = Instant::now() + Duration::from_secs(120);
         loop {
-            let stats = primary.service.stats();
+            let stats = service.stats();
             if stats
                 .repl
                 .as_ref()
@@ -350,38 +278,32 @@ fn pair_pass(a: &BenchArgs, rep: usize, failover: bool) -> Result<PairOutcome, S
     let report = result?;
     drained?;
 
-    if !failover {
-        stop_node(primary)?;
-        stop_node(standby)?;
-        return Ok(PairOutcome {
-            report,
-            rto_secs: None,
-            accuracy_ok: None,
-        });
-    }
-
     // Failover: the primary goes away first, then the standby is
     // promoted and must serve a correct, accurate answer.
-    stop_node(primary)?;
-    let rto = measure_rto(
-        &standby.addr,
-        a.items,
-        Duration::from_secs_f64(a.rto_secs.max(1.0) * 10.0),
-    )?;
-    let accuracy = check_accuracy(a, &standby.addr);
-    stop_node(standby)?;
-    let accuracy_ok = match accuracy {
-        Ok(()) => true,
-        Err(e) => {
-            eprintln!("repl-bench: accuracy check failed: {e}");
-            false
-        }
+    primary.stop()?;
+    let failover = if failover {
+        let rto_secs = measure_rto(
+            &standby.addr,
+            a.items,
+            Duration::from_secs_f64(a.rto_secs.max(1.0) * 10.0),
+        )?;
+        println!("  failover RTO {rto_secs:.3}s");
+        let accuracy_ok = match check_accuracy(a, &standby.addr) {
+            Ok(()) => true,
+            Err(e) => {
+                eprintln!("repl-bench: accuracy check failed: {e}");
+                false
+            }
+        };
+        Some(Failover {
+            rto_secs,
+            accuracy_ok,
+        })
+    } else {
+        None
     };
-    Ok(PairOutcome {
-        report,
-        rto_secs: Some(rto),
-        accuracy_ok: Some(accuracy_ok),
-    })
+    standby.stop()?;
+    Ok((report, failover))
 }
 
 fn main() {
@@ -393,69 +315,28 @@ fn main() {
     );
 
     println!("unreplicated baseline:");
-    let mut direct_best: Option<LoadReport> = None;
-    let mut checks_passed = true;
-    for rep in 0..a.repeats {
-        let check = rep + 1 == a.repeats;
-        let mut report = match direct_pass(&a, rep, check) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("repl-bench: baseline failed: {e}");
-                std::process::exit(1);
-            }
-        };
-        println!(
-            "  direct repeat {}/{}: {:.3} M items/s ({:.2}s)",
-            rep + 1,
-            a.repeats,
-            report.meps,
-            report.elapsed_secs
-        );
-        if let Some(c) = report.check.take() {
-            checks_passed &= c.passed;
-        }
-        if direct_best.as_ref().map_or(true, |b| report.meps > b.meps) {
-            direct_best = Some(report);
-        }
-    }
-    let direct = direct_best.expect("repeats >= 1");
+    let mut direct = or_exit(
+        best_of(a.repeats, "direct", |check| direct_pass(&a, check)),
+        "repl-bench: baseline failed",
+    );
 
     println!("replicated pair (primary shipping to a live standby):");
-    let mut pair_best: Option<LoadReport> = None;
-    let mut rto_secs = None;
-    let mut accuracy_ok = None;
-    for rep in 0..a.repeats {
-        let failover = rep + 1 == a.repeats;
-        let outcome = match pair_pass(&a, rep, failover) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("repl-bench: pair pass failed: {e}");
-                std::process::exit(1);
-            }
-        };
-        println!(
-            "  pair repeat {}/{}: {:.3} M items/s ({:.2}s){}",
-            rep + 1,
-            a.repeats,
-            outcome.report.meps,
-            outcome.report.elapsed_secs,
-            outcome
-                .rto_secs
-                .map_or(String::new(), |r| format!(", failover RTO {:.3}s", r))
-        );
-        let mut report = outcome.report;
-        if let Some(c) = report.check.take() {
-            checks_passed &= c.passed;
-        }
-        if pair_best.as_ref().map_or(true, |b| report.meps > b.meps) {
-            pair_best = Some(report);
-        }
-        rto_secs = rto_secs.or(outcome.rto_secs);
-        accuracy_ok = accuracy_ok.or(outcome.accuracy_ok);
-    }
-    let pair = pair_best.expect("repeats >= 1");
-    let rto = rto_secs.expect("failover repeat ran");
-    let accuracy = accuracy_ok.expect("failover repeat ran");
+    let mut failover = None;
+    let mut pair = or_exit(
+        best_of(a.repeats, "pair", |last| {
+            let (report, f) = pair_pass(&a, last)?;
+            failover = failover.take().or(f);
+            Ok(report)
+        }),
+        "repl-bench: pair pass failed",
+    );
+    let Failover {
+        rto_secs: rto,
+        accuracy_ok: accuracy,
+    } = failover.expect("the last repeat fails over");
+    let checks_passed = direct.check_passed() && pair.check_passed();
+    // BENCH_repl records the answer checks only as the gate's `checks_passed`.
+    (direct.check, pair.check) = (None, None);
 
     let parity_ratio = if direct.meps > 0.0 {
         pair.meps / direct.meps
@@ -498,12 +379,7 @@ fn main() {
             ]),
         ),
     ]);
-    let out_path = repo_root().join("BENCH_repl.json");
-    if let Err(e) = std::fs::write(&out_path, report.pretty()) {
-        eprintln!("repl-bench: cannot write {}: {e}", out_path.display());
-        std::process::exit(1);
-    }
-    println!("wrote {}", out_path.display());
+    write_bench("BENCH_repl.json", &report);
     println!(
         "direct {:.3} M items/s | pair {:.3} | parity {parity_ratio:.3} (floor {}) {} | \
          RTO {rto:.3}s (bound {}s) {} | accuracy {} => {}",

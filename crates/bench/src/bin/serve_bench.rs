@@ -47,16 +47,15 @@
 //! binary ingest throughput to beat JSON by ≥ 1.15× with the
 //! exact-truth accuracy check passing under both encodings.
 
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use cots_bench::service::{best_of, or_exit, write_bench, Node};
 use cots_core::json::{Json, ToJson};
-use cots_core::Threshold;
-use cots_datagen::{ExactCounter, StreamSpec};
+use cots_datagen::StreamSpec;
+use cots_serve::cli::Args;
 use cots_serve::loadgen::{self, LoadConfig};
-use cots_serve::protocol::QueryReq;
-use cots_serve::{Client, IoConfig, IoModel, LoadReport, Server, ServiceConfig, WireMode};
+use cots_serve::{Client, IoConfig, IoModel, LoadReport, ServiceConfig, WireMode};
 
 /// Queried-run throughput must reach this fraction of the quiet run.
 /// Recalibrated from 0.90 when the BIN1 fast path roughly doubled
@@ -135,26 +134,10 @@ impl Default for BenchArgs {
     }
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: serve-bench [--items N] [--shards S] [--qps Q] [--seed SEED] \
-         [--alphabet A] [--alpha Z] [--capacity C] [--connections K] \
-         [--io-model reactor|threads] [--repeats R] [--connection-sweep] \
-         [--scaling-sweep] [--wire-sweep] [--sweep-items N] [--strict]"
-    );
-    std::process::exit(2);
-}
-
-fn parse<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
-    let Some(raw) = value else {
-        eprintln!("{flag} needs a value");
-        usage();
-    };
-    raw.parse().unwrap_or_else(|_| {
-        eprintln!("{flag}: cannot parse `{raw}`");
-        usage();
-    })
-}
+const USAGE: &str = "usage: serve-bench [--items N] [--shards S] [--qps Q] [--seed SEED] \
+     [--alphabet A] [--alpha Z] [--capacity C] [--connections K] \
+     [--io-model reactor|threads] [--repeats R] [--connection-sweep] \
+     [--scaling-sweep] [--wire-sweep] [--sweep-items N] [--strict]";
 
 fn bench_args() -> BenchArgs {
     let mut a = BenchArgs::default();
@@ -164,51 +147,36 @@ fn bench_args() -> BenchArgs {
     {
         a.items = items;
     }
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env(USAGE);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--items" => a.items = parse("--items", args.next()),
-            "--shards" => a.shards = parse("--shards", args.next()),
-            "--qps" => a.qps = parse("--qps", args.next()),
-            "--seed" => a.seed = parse("--seed", args.next()),
-            "--alphabet" => a.alphabet = parse("--alphabet", args.next()),
-            "--alpha" => a.alpha = parse("--alpha", args.next()),
-            "--capacity" => a.capacity = parse("--capacity", args.next()),
-            "--connections" => a.connections = parse("--connections", args.next()),
-            "--io-model" => a.io_model = parse("--io-model", args.next()),
-            "--repeats" => a.repeats = parse("--repeats", args.next()),
+            "--items" => a.items = args.value(&arg),
+            "--shards" => a.shards = args.value(&arg),
+            "--qps" => a.qps = args.value(&arg),
+            "--seed" => a.seed = args.value(&arg),
+            "--alphabet" => a.alphabet = args.value(&arg),
+            "--alpha" => a.alpha = args.value(&arg),
+            "--capacity" => a.capacity = args.value(&arg),
+            "--connections" => a.connections = args.value(&arg),
+            "--io-model" => a.io_model = args.value(&arg),
+            "--repeats" => a.repeats = args.value(&arg),
             "--connection-sweep" => a.connection_sweep = true,
             "--scaling-sweep" => a.scaling_sweep = true,
             "--wire-sweep" => a.wire_sweep = true,
-            "--sweep-items" => a.sweep_items = parse("--sweep-items", args.next()),
+            "--sweep-items" => a.sweep_items = args.value(&arg),
             "--strict" => a.strict = true,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag `{other}`");
-                usage();
-            }
+            other => args.unknown(other),
         }
     }
     if a.items == 0 || a.shards == 0 || a.capacity == 0 || a.connections == 0 || a.repeats == 0 {
-        eprintln!("--items, --shards, --capacity, --connections and --repeats must be positive");
-        usage();
+        args.fail("--items, --shards, --capacity, --connections and --repeats must be positive");
     }
     a
 }
 
-/// The repo root: two levels above this crate's manifest.
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench sits two levels under the repo root")
-        .to_path_buf()
-}
-
-/// Bind a fresh server with this bench's service config and I/O model.
-fn bind_server(a: &BenchArgs, model: IoModel) -> Result<Server, String> {
-    Server::bind_with(
-        "127.0.0.1:0",
+/// Start a fresh server with this bench's service config and I/O model.
+fn start_server(a: &BenchArgs, model: IoModel) -> Result<Node, String> {
+    Node::serve(
         ServiceConfig {
             shards: a.shards,
             capacity: a.capacity,
@@ -220,17 +188,13 @@ fn bind_server(a: &BenchArgs, model: IoModel) -> Result<Server, String> {
             ..IoConfig::default()
         },
     )
-    .map_err(|e| format!("bind: {e}"))
 }
 
-/// One full server lifecycle: bind, replay the stream, drain, shut down.
+/// One full server lifecycle: start, replay the stream, drain, shut down.
 fn run_pass(a: &BenchArgs, qps: u64, check: bool, wire: WireMode) -> Result<LoadReport, String> {
-    let server = bind_server(a, a.io_model)?;
-    let addr = server.local_addr().to_string();
-    let server_thread = std::thread::spawn(move || server.run());
-
-    let result = loadgen::run(&LoadConfig {
-        addr: addr.clone(),
+    let node = start_server(a, a.io_model)?;
+    let report = loadgen::run(&LoadConfig {
+        addr: node.addr.clone(),
         items: a.items,
         alphabet: a.alphabet,
         alpha: a.alpha,
@@ -238,71 +202,37 @@ fn run_pass(a: &BenchArgs, qps: u64, check: bool, wire: WireMode) -> Result<Load
         batch: 8_192,
         connections: a.connections,
         qps,
-        phi: 0.01,
         check,
-        resume_from: 0,
         wire,
-    });
-
-    let stop = Client::connect(&addr)
-        .map_err(cots_core::CotsError::from)
-        .and_then(|mut c| c.shutdown());
-    let joined = server_thread.join();
-    let report = result.map_err(|e| format!("load: {e}"))?;
-    stop.map_err(|e| format!("shutdown: {e}"))?;
-    match joined {
-        Ok(Ok(())) => Ok(report),
-        Ok(Err(e)) => Err(format!("server: {e}")),
-        Err(_) => Err("server thread panicked".into()),
-    }
+        ..LoadConfig::default()
+    })
+    .map_err(|e| format!("load: {e}"))?;
+    node.stop()?;
+    Ok(report)
 }
 
-/// Best-of-`repeats` by throughput: scheduler noise only ever slows a run
-/// down, so the fastest repeat is the cleanest estimate of each mode.
-fn best_of(a: &BenchArgs, qps: u64, check: bool, wire: WireMode) -> Result<LoadReport, String> {
-    let mut best: Option<LoadReport> = None;
-    let mut checked = None;
-    for rep in 0..a.repeats {
-        // Only the last repeat pays for the exact-truth check.
-        let mut report = run_pass(a, qps, check && rep + 1 == a.repeats, wire)?;
-        println!(
-            "  qps={qps} repeat {}/{}: {:.2} M items/s ({:.2}s, {} retries, {} queries)",
-            rep + 1,
-            a.repeats,
-            report.meps,
-            report.elapsed_secs,
-            report.overload_retries,
-            report.queries_issued
-        );
-        if let Some(c) = report.check.take() {
-            checked = Some(c);
-        }
-        if best.as_ref().map_or(true, |b| report.meps > b.meps) {
-            best = Some(report);
-        }
-    }
-    let mut best = best.ok_or_else(|| String::from("repeats >= 1"))?;
-    best.check = checked;
-    Ok(best)
+/// Best-of-`repeats` pass; only the last repeat pays for the exact-truth
+/// check.
+fn best_pass(
+    a: &BenchArgs,
+    label: &str,
+    qps: u64,
+    check: bool,
+    wire: WireMode,
+) -> Result<LoadReport, String> {
+    best_of(a.repeats, label, |last| {
+        run_pass(a, qps, check && last, wire)
+    })
 }
 
-/// What one (connection count, io model) sweep pass measured.
-struct SweepOutcome {
-    meps: f64,
-    elapsed_secs: f64,
-    overload_retries: u64,
-    check_passed: bool,
-}
-
-impl SweepOutcome {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("meps", self.meps.to_json()),
-            ("elapsed_secs", self.elapsed_secs.to_json()),
-            ("overload_retries", self.overload_retries.to_json()),
-            ("check_passed", self.check_passed.to_json()),
-        ])
-    }
+/// The fields of one sweep pass the `connections` section records.
+fn sweep_json(r: &LoadReport) -> Json {
+    Json::obj(vec![
+        ("meps", r.meps.to_json()),
+        ("elapsed_secs", r.elapsed_secs.to_json()),
+        ("overload_retries", r.overload_retries.to_json()),
+        ("check_passed", r.check_passed().to_json()),
+    ])
 }
 
 /// One sweep point: open `c` connections simultaneously, deal the
@@ -315,29 +245,9 @@ impl SweepOutcome {
 /// `min(c, 8)` threads keeps the *client* side from needing thousands of
 /// threads (that ceiling is exactly what the server under test must not
 /// have).
-fn sweep_pass(a: &BenchArgs, model: IoModel, c: usize, items: u64) -> Result<SweepOutcome, String> {
-    let server = bind_server(a, model)?;
-    let addr = server.local_addr().to_string();
-    let server_thread = std::thread::spawn(move || server.run());
-
-    let result = sweep_drive(a, &addr, c, items);
-
-    let stop = Client::connect(&addr)
-        .map_err(cots_core::CotsError::from)
-        .and_then(|mut cl| cl.shutdown());
-    let joined = server_thread.join();
-    let outcome = result?;
-    stop.map_err(|e| format!("shutdown: {e}"))?;
-    match joined {
-        Ok(Ok(())) => Ok(outcome),
-        Ok(Err(e)) => Err(format!("server: {e}")),
-        Err(_) => Err("server thread panicked".into()),
-    }
-}
-
-/// The client side of one sweep pass (server lifecycle handled by the
-/// caller so a failed drive still shuts the server down).
-fn sweep_drive(a: &BenchArgs, addr: &str, c: usize, items: u64) -> Result<SweepOutcome, String> {
+fn sweep_pass(a: &BenchArgs, model: IoModel, c: usize, items: u64) -> Result<LoadReport, String> {
+    let node = start_server(a, model)?;
+    let addr = node.addr.as_str();
     let stream = StreamSpec::zipf(items as usize, a.alphabet, a.alpha, a.seed).generate();
     // Size batches so every connection sends at least ~2 frames.
     let batch = (items as usize / (c * 2)).clamp(64, 8_192);
@@ -406,56 +316,20 @@ fn sweep_drive(a: &BenchArgs, addr: &str, c: usize, items: u64) -> Result<SweepO
 
     // Accuracy under load: full recall of the truly frequent set and the
     // Space Saving envelope for every reported entry.
-    let truth = ExactCounter::from_stream(&stream);
-    let phi = 0.01;
-    let threshold = Threshold::Fraction(phi).resolve(items);
-    let truly = truth.frequent(Threshold::Count(threshold));
-    let (entries, total, stamp) = client
-        .query(QueryReq::Frequent { phi })
-        .map_err(|e| format!("query: {e}"))?;
-    let missed = truly
-        .iter()
-        .filter(|(k, _)| !entries.iter().any(|e| e.item == *k))
-        .count();
-    let bound_violations = entries
-        .iter()
-        .filter(|e| {
-            let t = truth.count(&e.item);
-            !(e.count >= t && e.count - e.error <= t)
-        })
-        .count();
-    let check_passed =
-        total == items && stamp.staleness == 0 && missed == 0 && bound_violations == 0;
-
-    Ok(SweepOutcome {
-        meps: items as f64 / elapsed_secs.max(1e-9) / 1e6,
+    let check =
+        loadgen::check_answers(&mut client, 0.01, &stream).map_err(|e| format!("check: {e}"))?;
+    drop(client);
+    node.stop()?;
+    Ok(LoadReport {
+        items,
         elapsed_secs,
+        meps: items as f64 / elapsed_secs.max(1e-9) / 1e6,
         overload_retries: retries.into_inner(),
-        check_passed,
+        queries_issued: 0,
+        latency: None,
+        wire: None,
+        check: Some(check),
     })
-}
-
-/// Best-of-`repeats` sweep pass, mirroring [`best_of`]: the fastest
-/// repeat estimates throughput, but the accuracy check must pass on
-/// *every* repeat.
-fn sweep_best_of(
-    a: &BenchArgs,
-    model: IoModel,
-    c: usize,
-    items: u64,
-) -> Result<SweepOutcome, String> {
-    let mut best: Option<SweepOutcome> = None;
-    let mut all_checks = true;
-    for _ in 0..a.repeats {
-        let o = sweep_pass(a, model, c, items)?;
-        all_checks &= o.check_passed;
-        if best.as_ref().map_or(true, |b| o.meps > b.meps) {
-            best = Some(o);
-        }
-    }
-    let mut best = best.ok_or_else(|| String::from("repeats >= 1"))?;
-    best.check_passed = all_checks;
-    Ok(best)
 }
 
 /// Run the full sweep and build the `connections` JSON section plus the
@@ -473,26 +347,32 @@ fn connection_sweep(a: &BenchArgs) -> (Json, bool) {
 
     for c in SWEEP_POINTS {
         println!("connection sweep: C={c} ({items} items, best of {})", a.repeats);
-        let reactor = sweep_best_of(a, IoModel::Reactor, c, items);
+        // The fastest repeat estimates throughput, but the accuracy check
+        // runs, and must pass, on every repeat.
+        let reactor = best_of(a.repeats, &format!("reactor C={c}"), |_| {
+            sweep_pass(a, IoModel::Reactor, c, items)
+        });
         match &reactor {
             Ok(o) => println!(
                 "  reactor:  {:.2} M items/s ({:.2}s, {} retries, check {})",
                 o.meps,
                 o.elapsed_secs,
                 o.overload_retries,
-                if o.check_passed { "PASS" } else { "FAIL" }
+                if o.check_passed() { "PASS" } else { "FAIL" }
             ),
             Err(e) => println!("  reactor:  FAILED: {e}"),
         }
         let threaded = if c <= THREADED_CEILING {
-            let t = sweep_best_of(a, IoModel::Threads, c, items);
+            let t = best_of(a.repeats, &format!("threaded C={c}"), |_| {
+                sweep_pass(a, IoModel::Threads, c, items)
+            });
             match &t {
                 Ok(o) => println!(
                     "  threaded: {:.2} M items/s ({:.2}s, {} retries, check {})",
                     o.meps,
                     o.elapsed_secs,
                     o.overload_retries,
-                    if o.check_passed { "PASS" } else { "FAIL" }
+                    if o.check_passed() { "PASS" } else { "FAIL" }
                 ),
                 Err(e) => println!("  threaded: FAILED (allowed beyond C=2): {e}"),
             }
@@ -510,10 +390,10 @@ fn connection_sweep(a: &BenchArgs) -> (Json, bool) {
             }
         }
         if c == SUSTAIN_FLOOR {
-            sustained = reactor.as_ref().map(|o| o.check_passed).unwrap_or(false);
+            sustained = reactor.as_ref().is_ok_and(LoadReport::check_passed);
         }
         // The gate covers every reactor point up to the sustain floor.
-        if c <= SUSTAIN_FLOOR && !reactor.as_ref().map(|o| o.check_passed).unwrap_or(false) {
+        if c <= SUSTAIN_FLOOR && !reactor.as_ref().is_ok_and(LoadReport::check_passed) {
             gate_passed = false;
         }
 
@@ -522,14 +402,14 @@ fn connection_sweep(a: &BenchArgs) -> (Json, bool) {
             (
                 "reactor",
                 match &reactor {
-                    Ok(o) => o.to_json(),
+                    Ok(o) => sweep_json(o),
                     Err(e) => Json::obj(vec![("error", e.to_json())]),
                 },
             ),
             (
                 "threaded",
                 match &threaded {
-                    Some(Ok(o)) => o.to_json(),
+                    Some(Ok(o)) => sweep_json(o),
                     Some(Err(e)) => Json::obj(vec![("error", e.to_json())]),
                     None => Json::Null,
                 },
@@ -596,7 +476,7 @@ fn scaling_sweep(a: &BenchArgs) -> (Json, bool) {
                 "scaling sweep: theta={alpha} shards={shards} ({items} items, best of {})",
                 a.repeats
             );
-            let outcome = best_of(&cell, 0, false, WireMode::Auto);
+            let outcome = best_pass(&cell, "cell", 0, false, WireMode::Auto);
             let (meps, elapsed, speedup) = match &outcome {
                 Ok(r) => {
                     if shards == 1 {
@@ -666,7 +546,7 @@ fn wire_sweep(a: &BenchArgs) -> (Json, bool) {
 
     let mut gate_passed = true;
     let run = |wire: WireMode, label: &str| -> Option<LoadReport> {
-        match best_of(&cell, 0, true, wire) {
+        match best_pass(&cell, label.trim(), 0, true, wire) {
             Ok(r) => {
                 let codec = r
                     .wire
@@ -683,11 +563,7 @@ fn wire_sweep(a: &BenchArgs) -> (Json, bool) {
                     r.meps,
                     r.elapsed_secs,
                     r.overload_retries,
-                    if r.check.as_ref().is_some_and(|c| c.passed) {
-                        "PASS"
-                    } else {
-                        "FAIL"
-                    }
+                    if r.check_passed() { "PASS" } else { "FAIL" }
                 );
                 Some(r)
             }
@@ -702,7 +578,7 @@ fn wire_sweep(a: &BenchArgs) -> (Json, bool) {
 
     let accuracy_passed = [&json, &binary]
         .iter()
-        .all(|r| r.as_ref().is_some_and(|r| r.check.as_ref().is_some_and(|c| c.passed)));
+        .all(|r| r.as_ref().is_some_and(LoadReport::check_passed));
     let ratio = match (&json, &binary) {
         (Some(j), Some(b)) if j.meps > 0.0 => Some(b.meps / j.meps),
         _ => None,
@@ -749,23 +625,17 @@ fn main() {
     );
 
     println!("quiet pass (no queries):");
-    let quiet = match best_of(&a, 0, false, WireMode::Auto) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("serve-bench: quiet pass failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let quiet = or_exit(
+        best_pass(&a, "quiet", 0, false, WireMode::Auto),
+        "serve-bench: quiet pass failed",
+    );
     println!("queried pass ({} QPS, checked against exact truth):", a.qps);
-    let queried = match best_of(&a, a.qps, true, WireMode::Auto) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("serve-bench: queried pass failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let queried = or_exit(
+        best_pass(&a, "queried", a.qps, true, WireMode::Auto),
+        "serve-bench: queried pass failed",
+    );
 
-    let check_passed = queried.check.as_ref().is_some_and(|c| c.passed);
+    let check_passed = queried.check_passed();
     let ratio = if quiet.meps > 0.0 {
         queried.meps / quiet.meps
     } else {
@@ -820,12 +690,7 @@ fn main() {
         ("wire", wire_section.to_json()),
         ("check_passed", check_passed.to_json()),
     ]);
-    let out_path = repo_root().join("BENCH_serve.json");
-    if let Err(e) = std::fs::write(&out_path, report.pretty()) {
-        eprintln!("serve-bench: cannot write {}: {e}", out_path.display());
-        std::process::exit(1);
-    }
-    println!("wrote {}", out_path.display());
+    write_bench("BENCH_serve.json", &report);
     println!(
         "quiet {:.2} M items/s, queried {:.2} M items/s, ratio {:.3} (floor {INTERFERENCE_FLOOR}) => {}",
         quiet.meps,

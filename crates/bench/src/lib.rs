@@ -20,11 +20,17 @@
 //! hardware-independent *work counters* (combining factor, summary
 //! operations per element, lock contentions, merge volume) that carry the
 //! paper's qualitative claims. See `DESIGN.md` §4 and `EXPERIMENTS.md`.
+//!
+//! The gate binaries for the served stack (`serve-bench`,
+//! `cluster-bench`, `repl-bench`, `recovery-bench`) and `perf-gate` share
+//! [`service`]: nodes over loopback, scratch directories, best-of-R
+//! repeats and the `BENCH_*.json` writer.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod engines;
 pub mod harness;
+pub mod service;
 
 pub use harness::Scale;

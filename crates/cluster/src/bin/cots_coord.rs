@@ -30,38 +30,23 @@
 use std::time::Duration;
 
 use cots_cluster::{CoordConfig, CoordServer};
+use cots_serve::cli::Args;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: cots-coord --members MEMBER[,MEMBER...] [--addr HOST:PORT] \
-         [--capacity M] [--pull-ms MS] [--timeout-ms MS] [--forward-deadline-ms MS] \
-         [--coalesce-keys K]\n\
-         MEMBER = HOST:PORT | PRIMARY/STANDBY (replica pair, coordinator \
-         promotes the standby on primary death)"
-    );
-    std::process::exit(2);
-}
-
-fn parse<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
-    let Some(raw) = value else {
-        eprintln!("{flag} needs a value");
-        usage();
-    };
-    raw.parse().unwrap_or_else(|_| {
-        eprintln!("{flag}: cannot parse `{raw}`");
-        usage();
-    })
-}
+const USAGE: &str = "usage: cots-coord --members MEMBER[,MEMBER...] [--addr HOST:PORT] \
+     [--capacity M] [--pull-ms MS] [--timeout-ms MS] [--forward-deadline-ms MS] \
+     [--coalesce-keys K]\n\
+     MEMBER = HOST:PORT | PRIMARY/STANDBY (replica pair, coordinator \
+     promotes the standby on primary death)";
 
 fn main() {
     let mut addr = "127.0.0.1:4060".to_string();
     let mut config = CoordConfig::default();
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env(USAGE);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--addr" => addr = parse("--addr", args.next()),
+            "--addr" => addr = args.value(&arg),
             "--members" => {
-                let raw: String = parse("--members", args.next());
+                let raw: String = args.value(&arg);
                 config.members = raw
                     .split(',')
                     .map(str::trim)
@@ -69,32 +54,21 @@ fn main() {
                     .map(str::to_string)
                     .collect();
             }
-            "--capacity" => config.capacity = parse("--capacity", args.next()),
-            "--pull-ms" => {
-                config.pull_interval = Duration::from_millis(parse("--pull-ms", args.next()))
-            }
-            "--timeout-ms" => {
-                config.io_timeout = Duration::from_millis(parse("--timeout-ms", args.next()))
-            }
+            "--capacity" => config.capacity = args.value(&arg),
+            "--pull-ms" => config.pull_interval = Duration::from_millis(args.value(&arg)),
+            "--timeout-ms" => config.io_timeout = Duration::from_millis(args.value(&arg)),
             "--forward-deadline-ms" => {
-                config.forward_deadline =
-                    Duration::from_millis(parse("--forward-deadline-ms", args.next()))
+                config.forward_deadline = Duration::from_millis(args.value(&arg))
             }
-            "--coalesce-keys" => config.coalesce_keys = parse("--coalesce-keys", args.next()),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag `{other}`");
-                usage();
-            }
+            "--coalesce-keys" => config.coalesce_keys = args.value(&arg),
+            other => args.unknown(other),
         }
     }
     if config.members.is_empty() {
-        eprintln!("--members is required (comma-separated ADDR or PRIMARY/STANDBY list)");
-        usage();
+        args.fail("--members is required (comma-separated ADDR or PRIMARY/STANDBY list)");
     }
     if config.capacity == 0 {
-        eprintln!("--capacity must be positive");
-        usage();
+        args.fail("--capacity must be positive");
     }
     let server = match CoordServer::bind(&addr, config.clone()) {
         Ok(s) => s,

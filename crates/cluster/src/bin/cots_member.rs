@@ -28,29 +28,14 @@
 
 use std::time::Duration;
 
+use cots_serve::cli::Args;
 use cots_serve::persistence::PersistOptions;
 use cots_serve::{IoConfig, Server, ServiceConfig};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: cots-member [--addr HOST:PORT] [--shards N] [--capacity M] \
-         [--refresh-ms MS] [--queue-batches Q] [--io-model reactor|threads] \
-         [--reactor-threads R] [--data-dir DIR] [--fsync always|grouped|off] \
-         [--checkpoint-ms MS] [--wal-segment-mb MB] [--standby] [--peer HOST:PORT]"
-    );
-    std::process::exit(2);
-}
-
-fn parse<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
-    let Some(raw) = value else {
-        eprintln!("{flag} needs a value");
-        usage();
-    };
-    raw.parse().unwrap_or_else(|_| {
-        eprintln!("{flag}: cannot parse `{raw}`");
-        usage();
-    })
-}
+const USAGE: &str = "usage: cots-member [--addr HOST:PORT] [--shards N] [--capacity M] \
+     [--refresh-ms MS] [--queue-batches Q] [--io-model reactor|threads] \
+     [--reactor-threads R] [--data-dir DIR] [--fsync always|grouped|off] \
+     [--checkpoint-ms MS] [--wal-segment-mb MB] [--standby] [--peer HOST:PORT]";
 
 fn main() {
     let mut addr = "127.0.0.1:4040".to_string();
@@ -61,38 +46,30 @@ fn main() {
     let mut checkpoint_ms: u64 = 5_000;
     let mut wal_segment_mb: u64 = 8;
     let mut peer: Option<String> = None;
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env(USAGE);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--addr" => addr = parse("--addr", args.next()),
-            "--shards" => config.shards = parse("--shards", args.next()),
-            "--capacity" => config.capacity = parse("--capacity", args.next()),
-            "--refresh-ms" => {
-                config.refresh = Duration::from_millis(parse("--refresh-ms", args.next()))
-            }
-            "--queue-batches" => config.queue_batches = parse("--queue-batches", args.next()),
-            "--io-model" => io.model = parse("--io-model", args.next()),
-            "--reactor-threads" => io.reactor_threads = parse("--reactor-threads", args.next()),
-            "--data-dir" => data_dir = Some(parse("--data-dir", args.next())),
-            "--fsync" => fsync = parse("--fsync", args.next()),
-            "--checkpoint-ms" => checkpoint_ms = parse("--checkpoint-ms", args.next()),
-            "--wal-segment-mb" => wal_segment_mb = parse("--wal-segment-mb", args.next()),
+            "--addr" => addr = args.value(&arg),
+            "--shards" => config.shards = args.value(&arg),
+            "--capacity" => config.capacity = args.value(&arg),
+            "--refresh-ms" => config.refresh = Duration::from_millis(args.value(&arg)),
+            "--queue-batches" => config.queue_batches = args.value(&arg),
+            "--io-model" => io.model = args.value(&arg),
+            "--reactor-threads" => io.reactor_threads = args.value(&arg),
+            "--data-dir" => data_dir = Some(args.value(&arg)),
+            "--fsync" => fsync = args.value(&arg),
+            "--checkpoint-ms" => checkpoint_ms = args.value(&arg),
+            "--wal-segment-mb" => wal_segment_mb = args.value(&arg),
             "--standby" => config.standby = true,
-            "--peer" => peer = Some(parse("--peer", args.next())),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag `{other}`");
-                usage();
-            }
+            "--peer" => peer = Some(args.value(&arg)),
+            other => args.unknown(other),
         }
     }
     if config.shards == 0 || config.capacity == 0 || config.queue_batches == 0 {
-        eprintln!("--shards, --capacity and --queue-batches must be positive");
-        usage();
+        args.fail("--shards, --capacity and --queue-batches must be positive");
     }
     if io.reactor_threads == 0 {
-        eprintln!("--reactor-threads must be positive");
-        usage();
+        args.fail("--reactor-threads must be positive");
     }
     if let Some(dir) = data_dir {
         let mut opts = PersistOptions::new(dir);
@@ -102,8 +79,7 @@ fn main() {
         config.persist = Some(opts);
     }
     if (config.standby || peer.is_some()) && config.persist.is_none() {
-        eprintln!("--standby and --peer need --data-dir (replication ships the WAL)");
-        usage();
+        args.fail("--standby and --peer need --data-dir (replication ships the WAL)");
     }
     config.repl_peer = peer.clone();
     let server = match Server::bind_with(&addr, config, io) {

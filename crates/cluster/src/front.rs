@@ -279,7 +279,7 @@ fn handle(
         ),
         Request::Ingest { keys } => (coord.forward(router, &keys), false),
         Request::Query(q) => (coord.answer(q), false),
-        Request::Stats => (Response::Stats(coord.stats()), false),
+        Request::Stats => (Response::Stats(Box::new(coord.stats())), false),
         Request::ClusterStats => (Response::ClusterStats(coord.cluster_report()), false),
         Request::Snapshot => {
             let (current, stamp) = coord.current();

@@ -13,8 +13,9 @@
 //! * [`partition`] — the stream partitioners used to feed worker threads;
 //! * [`io`] — a trivial on-disk stream format for replaying identical
 //!   streams across processes;
-//! * [`truth`] — an exact hash-map counter and accuracy metrics for
-//!   validating the approximate algorithms against ground truth.
+//! * [`truth`] — an exact hash-map counter, accuracy metrics and the
+//!   Space Saving envelope check for validating the approximate
+//!   algorithms against ground truth.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -27,5 +28,5 @@ pub mod zipf;
 
 pub use io::StreamChunks;
 pub use stream::{Distribution, StreamSpec};
-pub use truth::{AccuracyReport, ExactCounter};
+pub use truth::{AccuracyReport, EnvelopeCheck, ExactCounter};
 pub use zipf::{AliasTable, Zipf};

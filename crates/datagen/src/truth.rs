@@ -176,6 +176,52 @@ impl AccuracyReport {
     }
 }
 
+/// Whether an answer holds the Space Saving guarantee against exact truth:
+/// every truly frequent key is reported, and every reported entry sits
+/// inside `count ≥ true ≥ count − error`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EnvelopeCheck {
+    /// Keys whose true count meets the threshold.
+    pub truly_frequent: usize,
+    /// Truly frequent keys absent from the answer.
+    pub missed: usize,
+    /// Reported entries outside `count ≥ true ≥ count − error`.
+    pub bound_violations: usize,
+}
+
+impl EnvelopeCheck {
+    /// Check `entries` against `truth`, requiring every key whose true
+    /// count reaches `threshold` to be among them.
+    pub fn of<K: Element>(
+        entries: &[CounterEntry<K>],
+        truth: &ExactCounter<K>,
+        threshold: u64,
+    ) -> Self {
+        let truly = truth.frequent(Threshold::Count(threshold));
+        let missed = truly
+            .iter()
+            .filter(|(k, _)| !entries.iter().any(|e| e.item == *k))
+            .count();
+        let bound_violations = entries
+            .iter()
+            .filter(|e| {
+                let t = truth.count(&e.item);
+                !(e.count >= t && e.count.checked_sub(e.error).is_some_and(|lower| lower <= t))
+            })
+            .count();
+        Self {
+            truly_frequent: truly.len(),
+            missed,
+            bound_violations,
+        }
+    }
+
+    /// No key missed and no entry out of bounds.
+    pub fn passed(&self) -> bool {
+        self.missed == 0 && self.bound_violations == 0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,5 +289,48 @@ mod tests {
         assert_eq!(rep.recall, 1.0);
         assert_eq!(rep.precision, 1.0);
         assert_eq!(rep.true_frequent, 0);
+    }
+
+    #[test]
+    fn envelope_passes_an_exact_answer() {
+        let truth = ExactCounter::from_stream(&[1u64, 1, 1, 2, 2, 3]);
+        let c = EnvelopeCheck::of(&truth.snapshot().frequent(Threshold::Count(2)), &truth, 2);
+        assert_eq!(
+            c,
+            EnvelopeCheck {
+                truly_frequent: 2,
+                missed: 0,
+                bound_violations: 0
+            }
+        );
+        assert!(c.passed());
+    }
+
+    #[test]
+    fn envelope_flags_a_missed_heavy_key() {
+        let truth = ExactCounter::from_stream(&[1u64, 1, 1, 2, 2, 3]);
+        let c = EnvelopeCheck::of(&[CounterEntry::new(1u64, 3, 0)], &truth, 2);
+        assert_eq!((c.truly_frequent, c.missed, c.bound_violations), (2, 1, 0));
+        assert!(!c.passed());
+    }
+
+    #[test]
+    fn envelope_flags_an_over_count() {
+        let truth = ExactCounter::from_stream(&[1u64, 1, 1, 2, 2, 3]);
+        // count − error = 3 > true 2.
+        let entries = [CounterEntry::new(1u64, 3, 0), CounterEntry::new(2u64, 4, 1)];
+        let c = EnvelopeCheck::of(&entries, &truth, 2);
+        assert_eq!((c.missed, c.bound_violations), (0, 1));
+        assert!(!c.passed());
+    }
+
+    #[test]
+    fn envelope_flags_an_under_count() {
+        let truth = ExactCounter::from_stream(&[1u64, 1, 1, 2, 2, 3]);
+        // count 2 < true 3.
+        let entries = [CounterEntry::new(1u64, 2, 0), CounterEntry::new(2u64, 2, 0)];
+        let c = EnvelopeCheck::of(&entries, &truth, 2);
+        assert_eq!((c.missed, c.bound_violations), (0, 1));
+        assert!(!c.passed());
     }
 }

@@ -159,16 +159,11 @@ fn run(service: &Service, config: &ShipperConfig, stop: &AtomicBool) {
         // faster cannot fix divergent state, only an operator can.
         let acked = load_ack(p.dir());
         let unacked_keys = count_unacked_keys(&p, acked);
-        publish(
-            service,
-            &p,
-            config,
-            false,
-            acked,
+        let link = Link::Down {
             unacked_keys,
-            refused.is_some(),
-            &counters,
-        );
+            resync_required: refused.is_some(),
+        };
+        publish(service, &p, config, acked, link, &counters);
         if let Some(msg) = refused {
             eprintln!("cots-repl: standby refused the stream (resync required): {msg}");
             sleep_unless_stopped(stop, config.max_backoff);
@@ -225,7 +220,7 @@ fn stream(
     while !stop.load(Ordering::Acquire) {
         let batches = tailer.poll(config.max_keys_per_frame)?;
         if batches.is_empty() {
-            publish(service, p, config, true, ack, 0, false, counters);
+            publish(service, p, config, ack, Link::Up, counters);
             sleep_unless_stopped(stop, config.poll_interval);
             continue;
         }
@@ -301,24 +296,40 @@ fn note_ack(
 ) {
     let _ = store_ack(p.dir(), ack);
     p.set_repl_retain(ack);
-    publish(service, p, config, true, ack, 0, false, counters);
+    publish(service, p, config, ack, Link::Up, counters);
+}
+
+/// The shipper's link to its standby, as `STATS` reports it.
+enum Link {
+    /// Connected and pushing the tail; in-flight chunks are acked
+    /// within the same call, so nothing counts as un-acked keys.
+    Up,
+    /// Disconnected, with the exact un-acked tail and whether the
+    /// standby refused the stream.
+    Down {
+        unacked_keys: u64,
+        resync_required: bool,
+    },
 }
 
 /// Push the current shipping state into the service's `STATS` report.
 /// The service stamps role/promotions itself; `unacked_batches` is
-/// exact (`next_seq − ack`), `unacked_keys` is exact when supplied and
-/// zero while the connected tail is being pushed (in-flight chunks are
-/// acked within the same call).
+/// exact (`next_seq − ack`).
 fn publish(
     service: &Service,
     p: &Arc<Persistence>,
     config: &ShipperConfig,
-    connected: bool,
     ack: u64,
-    unacked_keys: u64,
-    resync_required: bool,
+    link: Link,
     counters: &ShipCounters,
 ) {
+    let (connected, unacked_keys, resync_required) = match link {
+        Link::Up => (true, 0, false),
+        Link::Down {
+            unacked_keys,
+            resync_required,
+        } => (false, unacked_keys, resync_required),
+    };
     let next = p.next_seq();
     service.set_repl_report(ReplReport {
         role: String::new(),

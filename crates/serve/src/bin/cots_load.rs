@@ -21,54 +21,35 @@
 //! Exits non-zero on any protocol error or (with `--check`) any answer
 //! outside the Space Saving guarantee.
 
+use cots_serve::cli::Args;
 use cots_serve::{Client, LoadConfig};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: cots-load [--addr HOST:PORT] [--items N] [--alphabet A] [--alpha Z] \
-         [--seed S] [--resume R] [--batch B] [--connections C] [--qps Q] [--phi PHI] \
-         [--check] [--wire auto|json|binary] [--json PATH] [--shutdown]"
-    );
-    std::process::exit(2);
-}
-
-fn parse<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
-    let Some(raw) = value else {
-        eprintln!("{flag} needs a value");
-        usage();
-    };
-    raw.parse().unwrap_or_else(|_| {
-        eprintln!("{flag}: cannot parse `{raw}`");
-        usage();
-    })
-}
+const USAGE: &str = "usage: cots-load [--addr HOST:PORT] [--items N] [--alphabet A] [--alpha Z] \
+     [--seed S] [--resume R] [--batch B] [--connections C] [--qps Q] [--phi PHI] \
+     [--check] [--wire auto|json|binary] [--json PATH] [--shutdown]";
 
 fn main() {
     let mut config = LoadConfig::default();
     let mut json_path: Option<String> = None;
     let mut shutdown = false;
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env(USAGE);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--addr" => config.addr = parse("--addr", args.next()),
-            "--items" => config.items = parse("--items", args.next()),
-            "--alphabet" => config.alphabet = parse("--alphabet", args.next()),
-            "--alpha" => config.alpha = parse("--alpha", args.next()),
-            "--seed" => config.seed = parse("--seed", args.next()),
-            "--resume" => config.resume_from = parse("--resume", args.next()),
-            "--batch" => config.batch = parse("--batch", args.next()),
-            "--connections" => config.connections = parse("--connections", args.next()),
-            "--qps" => config.qps = parse("--qps", args.next()),
-            "--phi" => config.phi = parse("--phi", args.next()),
+            "--addr" => config.addr = args.value(&arg),
+            "--items" => config.items = args.value(&arg),
+            "--alphabet" => config.alphabet = args.value(&arg),
+            "--alpha" => config.alpha = args.value(&arg),
+            "--seed" => config.seed = args.value(&arg),
+            "--resume" => config.resume_from = args.value(&arg),
+            "--batch" => config.batch = args.value(&arg),
+            "--connections" => config.connections = args.value(&arg),
+            "--qps" => config.qps = args.value(&arg),
+            "--phi" => config.phi = args.value(&arg),
             "--check" => config.check = true,
-            "--wire" => config.wire = parse("--wire", args.next()),
-            "--json" => json_path = Some(parse("--json", args.next())),
+            "--wire" => config.wire = args.value(&arg),
+            "--json" => json_path = Some(args.value::<String>(&arg)),
             "--shutdown" => shutdown = true,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag `{other}`");
-                usage();
-            }
+            other => args.unknown(other),
         }
     }
 

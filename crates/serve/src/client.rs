@@ -209,7 +209,7 @@ impl Client {
     /// Service statistics.
     pub fn stats(&mut self) -> Result<ServiceReport> {
         match self.call(&Request::Stats)? {
-            Response::Stats(report) => Ok(report),
+            Response::Stats(report) => Ok(*report),
             other => Err(CotsError::Protocol(format!(
                 "unexpected stats response: {other:?}"
             ))),

@@ -47,12 +47,14 @@
 //!   everything recovered.
 //! * **Binaries**: `cots-serve` (the server) and `cots-load` (replay a
 //!   `datagen` Zipf stream over the wire and check answers against exact
-//!   ground truth).
+//!   ground truth). Their flags, and those of the cluster binaries and
+//!   bench gates, go through [`cli`].
 
 #![deny(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod bin1;
+pub mod cli;
 pub mod client;
 pub mod frame;
 pub mod loadgen;

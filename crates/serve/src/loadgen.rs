@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cots_core::{CotsError, Result, Threshold};
-use cots_datagen::{ExactCounter, StreamSpec};
+use cots_datagen::{EnvelopeCheck, ExactCounter, StreamSpec};
 
 use crate::client::Client;
 use crate::protocol::{QueryReq, Response};
@@ -172,6 +172,13 @@ cots_core::json_struct! {
     }
 }
 
+impl LoadReport {
+    /// The answer check ran and passed.
+    pub fn check_passed(&self) -> bool {
+        self.check.as_ref().is_some_and(|c| c.passed)
+    }
+}
+
 /// Replay the configured stream against the server and report.
 ///
 /// Drives `connections` persistent ingest connections; the stream's
@@ -279,7 +286,7 @@ pub fn run(config: &LoadConfig) -> Result<LoadReport> {
     let elapsed = start.elapsed();
 
     let check = if config.check {
-        Some(check_answers(&mut client, config, stream)?)
+        Some(check_answers(&mut client, config.phi, stream)?)
     } else {
         None
     };
@@ -430,47 +437,31 @@ pub fn await_quiescence(client: &mut Client, items: u64) -> Result<()> {
     }
 }
 
-/// Verify the server's `frequent(phi)` answer against exact truth: full
-/// recall of the truly frequent set and the Space Saving bound
-/// `count ≥ true ≥ count − error` for every reported entry.
-fn check_answers(client: &mut Client, config: &LoadConfig, stream: &[u64]) -> Result<CheckReport> {
+/// Verify the server's `frequent(phi)` answer against exact truth over
+/// `stream`: full recall of the truly frequent set and the Space Saving
+/// bound `count ≥ true ≥ count − error` for every reported entry. A
+/// snapshot that has not yet seen the whole stream is an error, not a
+/// failed check.
+pub fn check_answers(client: &mut Client, phi: f64, stream: &[u64]) -> Result<CheckReport> {
+    let items = stream.len() as u64;
     let truth = ExactCounter::from_stream(stream);
-    let threshold = Threshold::Fraction(config.phi).resolve(config.items);
-    let truly: Vec<(u64, u64)> = truth.frequent(Threshold::Count(threshold));
-
-    let (entries, total, stamp) = client.query(QueryReq::Frequent { phi: config.phi })?;
-    if total != config.items || stamp.staleness != 0 {
+    let threshold = Threshold::Fraction(phi).resolve(items);
+    let (entries, total, stamp) = client.query(QueryReq::Frequent { phi })?;
+    if total != items || stamp.staleness != 0 {
         return Err(CotsError::Protocol(format!(
             "check ran against a stale snapshot: total {total}, staleness {}",
             stamp.staleness
         )));
     }
-    let missed = truly
-        .iter()
-        .filter(|(k, _)| !entries.iter().any(|e| e.item == *k))
-        .count();
-    let bound_violations = entries
-        .iter()
-        .filter(|e| {
-            let t = truth.count(&e.item);
-            let ok = e.count >= t && e.count - e.error <= t;
-            if !ok {
-                eprintln!(
-                    "loadgen: bound violation: item {} count {} error {} true {}",
-                    e.item, e.count, e.error, t
-                );
-            }
-            !ok
-        })
-        .count();
+    let envelope = EnvelopeCheck::of(&entries, &truth, threshold);
     Ok(CheckReport {
-        phi: config.phi,
+        phi,
         threshold,
-        truly_frequent: truly.len(),
+        truly_frequent: envelope.truly_frequent,
         reported: entries.len(),
-        missed,
-        bound_violations,
-        passed: missed == 0 && bound_violations == 0,
+        missed: envelope.missed,
+        bound_violations: envelope.bound_violations,
+        passed: envelope.passed(),
     })
 }
 

@@ -243,8 +243,9 @@ pub enum Response {
         /// Snapshot provenance.
         stamp: QueryStamp,
     },
-    /// Service statistics.
-    Stats(ServiceReport),
+    /// Service statistics (boxed: the report dwarfs every other
+    /// response).
+    Stats(Box<ServiceReport>),
     /// The full published snapshot.
     Snapshot {
         /// The summary view.
@@ -552,7 +553,7 @@ impl FromJson for Response {
                 total: u64::from_json(p.field("total")?)?,
                 stamp: QueryStamp::from_json(p.field("stamp")?)?,
             }),
-            ("Stats", Some(p)) => Ok(Response::Stats(ServiceReport::from_json(p)?)),
+            ("Stats", Some(p)) => Ok(Response::Stats(Box::new(ServiceReport::from_json(p)?))),
             ("Snapshot", Some(p)) => Ok(Response::Snapshot {
                 snapshot: Snapshot::<u64>::from_json(p.field("snapshot")?)?,
                 stamp: QueryStamp::from_json(p.field("stamp")?)?,
@@ -736,7 +737,7 @@ mod tests {
             total: 100,
             stamp,
         });
-        round_trip_response(Response::Stats(ServiceReport::default()));
+        round_trip_response(Response::Stats(Box::default()));
         round_trip_response(Response::Snapshot {
             snapshot: Snapshot::new(vec![CounterEntry::new(1u64, 2, 0)], 2),
             stamp: QueryStamp::default(),

@@ -674,7 +674,7 @@ impl Service {
                 self.tally.query();
                 self.answer(q)
             }
-            Request::Stats => Response::Stats(self.stats()),
+            Request::Stats => Response::Stats(Box::new(self.stats())),
             Request::Snapshot => {
                 let (snap, stamp) = self.published();
                 Response::Snapshot {
