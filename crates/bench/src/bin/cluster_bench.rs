@@ -34,14 +34,14 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use cots_bench::service::{best_of, or_exit, stop_all, write_bench, Node, Scratch};
-use cots_cluster::CoordConfig;
+use cots_bench::service::{best_of, or_exit, stop_all, write_bench, Node, Scratch, LOOPBACK};
+use cots_cluster::{CoordConfig, Coordinator};
 use cots_core::json::{Json, ToJson};
 use cots_persist::FsyncPolicy;
 use cots_serve::cli::Args;
 use cots_serve::loadgen::{self, LoadConfig};
 use cots_serve::persistence::PersistOptions;
-use cots_serve::{IoConfig, LoadReport, ServiceConfig};
+use cots_serve::{LoadReport, Server, ServiceConfig};
 
 /// Member counts visited, in order. 1 doubles as the scaling baseline.
 const MEMBER_POINTS: [usize; 3] = [1, 2, 4];
@@ -110,6 +110,9 @@ fn bench_args() -> BenchArgs {
     if a.items == 0 || a.batch == 0 || a.capacity == 0 || a.connections == 0 || a.repeats == 0 {
         args.fail("--items, --batch, --capacity, --connections and --repeats must be positive");
     }
+    if a.shards == 0 || a.queue_batches == 0 {
+        args.fail("--shards and --queue-batches must be positive");
+    }
     a
 }
 
@@ -120,7 +123,8 @@ fn start_member(a: &BenchArgs, dir: PathBuf) -> Result<Node, String> {
     // Keep checkpoints out of the measured window; the WAL alone
     // carries durability for a run this short.
     persist.checkpoint_every = Duration::from_secs(120);
-    Node::serve(
+    Node::start(Server::bind(
+        LOOPBACK,
         ServiceConfig {
             shards: a.shards,
             capacity: a.capacity,
@@ -129,8 +133,7 @@ fn start_member(a: &BenchArgs, dir: PathBuf) -> Result<Node, String> {
             persist: Some(persist),
             ..Default::default()
         },
-        IoConfig::default(),
-    )
+    ))
 }
 
 /// Drive one load run against `addr` and return the report.
@@ -157,13 +160,16 @@ fn coord_pass(a: &BenchArgs, n: usize, check: bool) -> Result<LoadReport, String
     let members = (0..n)
         .map(|i| start_member(a, scratch.fresh(&format!("m{i}"))?))
         .collect::<Result<Vec<_>, _>>()?;
-    let coord = Node::coord(CoordConfig {
-        members: members.iter().map(|m| m.addr.clone()).collect(),
-        capacity: a.capacity,
-        pull_interval: Duration::from_millis(20),
-        coalesce_keys: a.coalesce,
-        ..Default::default()
-    })?;
+    let coord = Node::start(Coordinator::bind(
+        LOOPBACK,
+        CoordConfig {
+            members: members.iter().map(|m| m.addr.clone()).collect(),
+            capacity: a.capacity,
+            pull_interval: Duration::from_millis(20),
+            coalesce_keys: a.coalesce,
+            ..Default::default()
+        },
+    ))?;
     let report = drive(a, &coord.addr, check)?;
     coord.stop()?;
     stop_all(members)?;

@@ -30,7 +30,7 @@
 
 use std::time::{Duration, Instant};
 
-use cots_bench::service::{best_of, or_exit, write_bench, Node, Scratch};
+use cots_bench::service::{best_of, or_exit, write_bench, Node, Scratch, LOOPBACK};
 use cots_core::json::{Json, ToJson};
 use cots_core::Threshold;
 use cots_datagen::{EnvelopeCheck, ExactCounter, StreamSpec};
@@ -40,7 +40,7 @@ use cots_serve::cli::Args;
 use cots_serve::loadgen::{self, LoadConfig};
 use cots_serve::persistence::PersistOptions;
 use cots_serve::protocol::QueryReq;
-use cots_serve::{Client, IoConfig, LoadReport, Request, Response, ServiceConfig};
+use cots_serve::{Client, LoadReport, Request, Response, Server, ServiceConfig};
 
 struct BenchArgs {
     items: u64,
@@ -107,6 +107,9 @@ fn bench_args() -> BenchArgs {
     if a.items == 0 || a.batch == 0 || a.capacity == 0 || a.connections == 0 || a.repeats == 0 {
         args.fail("--items, --batch, --capacity, --connections and --repeats must be positive");
     }
+    if a.shards == 0 || a.queue_batches == 0 {
+        args.fail("--shards and --queue-batches must be positive");
+    }
     a
 }
 
@@ -122,7 +125,8 @@ fn start_node(
     persist.fsync = a.fsync;
     // Keep checkpoints out of the measured window.
     persist.checkpoint_every = Duration::from_secs(120);
-    Node::serve(
+    Node::start(Server::bind(
+        LOOPBACK,
         ServiceConfig {
             shards: a.shards,
             capacity: a.capacity,
@@ -133,8 +137,7 @@ fn start_node(
             repl_peer: peer,
             ..Default::default()
         },
-        IoConfig::default(),
-    )
+    ))
 }
 
 fn drive(a: &BenchArgs, addr: &str, check: bool) -> Result<LoadReport, String> {
@@ -242,10 +245,7 @@ fn pair_pass(a: &BenchArgs, failover: bool) -> Result<(LoadReport, Option<Failov
     let scratch = Scratch::new("cots-repl-bench");
     let standby = start_node(a, &scratch, "standby", true, None)?;
     let primary = start_node(a, &scratch, "primary", false, Some(standby.addr.clone()))?;
-    let service = primary
-        .service
-        .clone()
-        .expect("a server node carries its service");
+    let service = primary.service.clone();
     let mut cfg = ShipperConfig::new(standby.addr.clone());
     cfg.poll_interval = Duration::from_millis(2);
     let shipper = spawn_shipper(service.clone(), cfg).map_err(|e| format!("shipper: {e}"))?;

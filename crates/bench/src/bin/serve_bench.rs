@@ -50,12 +50,12 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use cots_bench::service::{best_of, or_exit, write_bench, Node};
+use cots_bench::service::{best_of, or_exit, write_bench, Node, LOOPBACK};
 use cots_core::json::{Json, ToJson};
 use cots_datagen::StreamSpec;
 use cots_serve::cli::Args;
 use cots_serve::loadgen::{self, LoadConfig};
-use cots_serve::{Client, IoConfig, IoModel, LoadReport, ServiceConfig, WireMode};
+use cots_serve::{Client, IoConfig, IoModel, LoadReport, Server, ServiceConfig, WireMode};
 
 /// Queried-run throughput must reach this fraction of the quiet run.
 /// Recalibrated from 0.90 when the BIN1 fast path roughly doubled
@@ -176,7 +176,8 @@ fn bench_args() -> BenchArgs {
 
 /// Start a fresh server with this bench's service config and I/O model.
 fn start_server(a: &BenchArgs, model: IoModel) -> Result<Node, String> {
-    Node::serve(
+    Node::start(Server::bind_with(
+        LOOPBACK,
         ServiceConfig {
             shards: a.shards,
             capacity: a.capacity,
@@ -187,7 +188,7 @@ fn start_server(a: &BenchArgs, model: IoModel) -> Result<Node, String> {
             model,
             ..IoConfig::default()
         },
-    )
+    ))
 }
 
 /// One full server lifecycle: start, replay the stream, drain, shut down.

@@ -13,11 +13,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use cots_cluster::{CoordConfig, CoordServer};
 use cots_core::json::Json;
 use cots_core::CotsError;
 use cots_serve::loadgen::CheckReport;
-use cots_serve::{Client, IoConfig, LoadReport, Server, Service, ServiceConfig};
+use cots_serve::{Client, LoadReport, Role, Server, Service};
 
 /// The repo root: two levels above this crate's manifest.
 pub fn repo_root() -> PathBuf {
@@ -73,41 +72,33 @@ impl Drop for Scratch {
     }
 }
 
-/// A [`Server`] or [`CoordServer`] running on its own thread behind an
-/// ephemeral loopback port.
+/// The address a node binds: an ephemeral loopback port.
+pub const LOOPBACK: &str = "127.0.0.1:0";
+
+/// A [`Server`] — a member service or a coordinator — running on its own
+/// thread.
 ///
 /// [`Node::stop`] sends `SHUTDOWN`, joins the thread and surfaces the
 /// server's own error. A node dropped without `stop` (an early `?` in a
 /// pass) is stopped the same way, its errors ignored, so no error path
 /// leaves a server running.
-pub struct Node {
+pub struct Node<R: Role = Service> {
     /// The bound address.
     pub addr: String,
-    /// The service behind a server node; `None` for a coordinator.
-    pub service: Option<Arc<Service>>,
+    /// The role behind the server.
+    pub service: Arc<R>,
     thread: Option<JoinHandle<io::Result<()>>>,
 }
 
-impl Node {
-    /// Bind and run a server.
-    pub fn serve(config: ServiceConfig, io: IoConfig) -> Result<Self, String> {
-        let server = Server::bind_with("127.0.0.1:0", config, io)
-            .map_err(|e| format!("bind server: {e}"))?;
+impl<R: Role> Node<R> {
+    /// Run a freshly bound server, e.g.
+    /// `Node::start(Server::bind_with(LOOPBACK, config, io))`.
+    pub fn start(bound: io::Result<Server<R>>) -> Result<Self, String> {
+        let server = bound.map_err(|e| format!("bind: {e}"))?;
         Ok(Self {
             addr: server.local_addr().to_string(),
-            service: Some(server.service().clone()),
+            service: server.service().clone(),
             thread: Some(std::thread::spawn(move || server.run())),
-        })
-    }
-
-    /// Bind and run a coordinator.
-    pub fn coord(config: CoordConfig) -> Result<Self, String> {
-        let coord =
-            CoordServer::bind("127.0.0.1:0", config).map_err(|e| format!("bind coord: {e}"))?;
-        Ok(Self {
-            addr: coord.local_addr().to_string(),
-            service: None,
-            thread: Some(std::thread::spawn(move || coord.run())),
         })
     }
 
@@ -121,22 +112,17 @@ impl Node {
         let Some(thread) = self.thread.take() else {
             return Ok(());
         };
-        let role = if self.service.is_some() {
-            "server"
-        } else {
-            "coord"
-        };
         let stopped = Client::connect(&self.addr)
             .map_err(CotsError::from)
             .and_then(|mut c| c.shutdown())
-            .map_err(|e| format!("{role} {} shutdown: {e}", self.addr));
+            .map_err(|e| format!("node {} shutdown: {e}", self.addr));
         // A thread that is still running after a failed SHUTDOWN cannot
         // be joined; it is left detached and the failure reported.
         let exited = if stopped.is_ok() || thread.is_finished() {
             match thread.join() {
                 Ok(Ok(())) => Ok(()),
-                Ok(Err(e)) => Err(format!("{role} {}: {e}", self.addr)),
-                Err(_) => Err(format!("{role} {}: thread panicked", self.addr)),
+                Ok(Err(e)) => Err(format!("node {}: {e}", self.addr)),
+                Err(_) => Err(format!("node {}: thread panicked", self.addr)),
             }
         } else {
             Ok(())
@@ -145,14 +131,14 @@ impl Node {
     }
 }
 
-impl Drop for Node {
+impl<R: Role> Drop for Node<R> {
     fn drop(&mut self) {
         let _ = self.halt();
     }
 }
 
 /// Stop every node, even after one fails; return the first error.
-pub fn stop_all(nodes: Vec<Node>) -> Result<(), String> {
+pub fn stop_all<R: Role>(nodes: Vec<Node<R>>) -> Result<(), String> {
     nodes.into_iter().map(Node::stop).fold(Ok(()), Result::and)
 }
 
@@ -279,13 +265,13 @@ mod tests {
         let scratch = Scratch::new("cots-service-test");
         let node = |tag: &str| {
             let dir = scratch.fresh(tag).unwrap();
-            let config = ServiceConfig {
+            let config = cots_serve::ServiceConfig {
                 shards: 1,
                 capacity: 10,
                 persist: Some(cots_serve::PersistOptions::new(dir)),
                 ..Default::default()
             };
-            Node::serve(config, IoConfig::default()).unwrap()
+            Node::start(Server::bind(LOOPBACK, config)).unwrap()
         };
         let (a, b) = (node("a"), node("b"));
         let addrs = [a.addr.clone(), b.addr.clone()];

@@ -29,7 +29,7 @@
 
 use std::time::Duration;
 
-use cots_cluster::{CoordConfig, CoordServer};
+use cots_cluster::{CoordConfig, Coordinator};
 use cots_serve::cli::Args;
 
 const USAGE: &str = "usage: cots-coord --members MEMBER[,MEMBER...] [--addr HOST:PORT] \
@@ -70,7 +70,7 @@ fn main() {
     if config.capacity == 0 {
         args.fail("--capacity must be positive");
     }
-    let server = match CoordServer::bind(&addr, config.clone()) {
+    let server = match Coordinator::bind(&addr, config.clone()) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cots-coord: cannot start on {addr}: {e}");

@@ -27,9 +27,9 @@
 //!   while the widened staleness bound reports the gap).
 //! * [`coord`] — the coordinator: per-connection ingest routers,
 //!   per-member pullers, federated publishing, cluster staleness math.
-//! * [`front`] — the coordinator's TCP front-end; same wire protocol
-//!   and `HELLO` handshake as `cots-serve`, so every client works
-//!   unchanged.
+//! * [`front`] — the coordinator's [`cots_serve::Role`]: it serves
+//!   through `cots-serve`'s own front-end, so the wire protocol and
+//!   `HELLO` handshake are a member's and every client works unchanged.
 //!
 //! Answers carry a conservative cluster envelope: for every reported
 //! key, `count − error ≤ true ≤ count + staleness`, where staleness

@@ -22,12 +22,15 @@
 //!   `SHUTDOWN`. Peers that negotiate the `"bin"` feature at `HELLO`
 //!   may carry the bulk ops (`INGEST`, `REPL_BATCH`, `SNAPSHOT_PAGE`)
 //!   as BIN1 fixed-LE binary payloads instead.
-//! * **Event-driven front-end** ([`reactor`], [`server`]): by default a
-//!   small fixed pool of reactor threads drives every connection via
-//!   readiness polling (epoll on Linux, `poll(2)` fallback) and
-//!   incremental frame assembly, so N connections cost N buffers rather
-//!   than N OS threads; `--io-model threads` restores the blocking
-//!   thread-per-connection model for differential testing.
+//! * **One front-end for both roles** ([`role`], [`server`],
+//!   [`reactor`]): the handshake, BIN1 admission, the page pin and the
+//!   frame-cap fallback are written once against the [`Role`] trait,
+//!   which a member [`Service`] and the `cots-cluster` coordinator both
+//!   implement. By default a small fixed pool of reactor threads drives
+//!   every connection via readiness polling (epoll on Linux, `poll(2)`
+//!   fallback) and incremental frame assembly, so N connections cost N
+//!   buffers rather than N OS threads; `--io-model threads` restores the
+//!   blocking thread-per-connection model, which the coordinator runs.
 //! * **Sharded ingest** ([`spsc`], [`shard`]): per-(producer, shard)
 //!   bounded SPSC rings feed workers that call
 //!   `CotsEngine::delegate_batch`; full rings answer `OVERLOADED`
@@ -61,6 +64,7 @@ pub mod loadgen;
 pub mod persistence;
 pub mod protocol;
 pub mod reactor;
+pub mod role;
 pub mod server;
 pub mod service;
 pub mod shard;
@@ -75,6 +79,7 @@ pub use protocol::{
     QueryReq, QueryStamp, ReplFrame, Request, Response, MAX_PAGE_ENTRIES, MIN_PROTO_VERSION,
     PROTO_VERSION,
 };
+pub use role::{ConnState, Reply, Role};
 pub use server::{IoConfig, IoModel, Server};
-pub use service::{ConnState, Reply, Service, ServiceConfig};
+pub use service::{Service, ServiceConfig};
 pub use shard::{Backend, SendOutcome, ShardPool, ShardSender};

@@ -35,8 +35,7 @@ use std::net::TcpStream;
 
 use crate::frame::{FrameAssembler, Payload, MAX_FRAME};
 use crate::protocol::{encode, Response};
-use crate::service::{ConnState, Service};
-use crate::shard::ShardSender;
+use crate::role::{self, ConnState, Role};
 
 /// Pending-write cap: a peer that stops reading while responses pile up
 /// past this bound is dropped instead of buffering without limit. Four
@@ -76,9 +75,9 @@ pub struct Connection {
     /// consuming input, flush what is queued, then close.
     closing: bool,
     /// Protocol state: `HELLO` handshake progress plus any snapshot
-    /// pinned by a paged transfer. Lives here (not with the
-    /// `ShardSender`) because one sender is shared by every connection
-    /// on a reactor thread.
+    /// pinned by a paged transfer. Lives here (not with the sink)
+    /// because one sink is shared by every connection on a reactor
+    /// thread.
     state: ConnState,
 }
 
@@ -102,7 +101,7 @@ impl Connection {
 
     /// Read everything available (up to the fairness budget), decode
     /// and handle complete frames, and flush responses.
-    pub fn drive_readable(&mut self, service: &Service, sender: &mut ShardSender) -> Drive {
+    pub fn drive_readable<R: Role>(&mut self, service: &R, sink: &mut R::Sink) -> Drive {
         if self.closing {
             return self.flush();
         }
@@ -129,7 +128,7 @@ impl Connection {
             match self.asm.next_frame() {
                 Ok(Some(payload)) => {
                     let (response, close) =
-                        service.serve_frame(&payload, &mut self.state, sender);
+                        role::serve_frame(service, &payload, &mut self.state, sink);
                     if !self.queue_payload(&response) {
                         return Drive::Close;
                     }

@@ -5,8 +5,9 @@
 //! rings per connection — fine for hundreds of connections, fatal for
 //! tens of thousands. The reactor inverts that: a fixed pool of
 //! reactor threads each owns one readiness [`Poller`](sys::Poller)
-//! (epoll on Linux, `poll(2)` elsewhere), one [`ShardSender`] feeding
-//! the per-shard SPSC rings, and a slab of nonblocking
+//! (epoll on Linux, `poll(2)` elsewhere), one [`Role`] sink (for a
+//! member, a [`ShardSender`](crate::ShardSender) feeding the per-shard
+//! SPSC rings), and a slab of nonblocking
 //! [`Connection`](conn::Connection) state machines. N connections cost
 //! N small buffers, not N threads or N×shards rings.
 //!
@@ -17,7 +18,7 @@
 //!                                                │  epoll_wait
 //!                                                ▼
 //!                                       connection state machines
-//!                                                │  one ShardSender
+//!                                                │  one role sink
 //!                                                ▼
 //!                                        per-shard SPSC rings
 //! ```
@@ -29,16 +30,19 @@
 //! this, every connection's first frames would idle for up to one wait
 //! timeout before adoption. The reactor adopts new streams at the top
 //! of every loop iteration, registers them edge-triggered, and from
-//! then on only touches them when the kernel reports readiness. Sharing one `ShardSender` per reactor thread is
-//! sound because the SPSC rings require a single producer *thread*,
-//! not a single producer connection — all of this reactor's
-//! connections enqueue from this thread.
+//! then on only touches them when the kernel reports readiness. Sharing
+//! one `ShardSender` per reactor thread is sound because the SPSC rings
+//! require a single producer *thread*, not a single producer connection
+//! — all of this reactor's connections enqueue from this thread. A sink
+//! is retired when its reactor thread exits, not per connection, so a
+//! role whose sink must flush at connection end (the coordinator's
+//! router) runs on the blocking model instead.
 //!
-//! Shutdown mirrors the blocking model: the service flag flips, the
+//! Shutdown mirrors the blocking model: the role's flag flips, the
 //! reactor notices at its next wakeup (immediate when the acceptor
 //! joins the pool — it taps every wakeup channel first),
-//! drops every connection and its `ShardSender` — closing the rings —
-//! and exits; the shard workers drain and the service quiesces.
+//! drops every connection, retires its sink — closing the rings — and
+//! exits; the shard workers drain and the service quiesces.
 //!
 //! AUDIT: locks — the inbox mutex is the only lock here and must never
 //! wrap I/O; enforced by `cargo xtask audit` (lint-locks).
@@ -57,8 +61,7 @@ use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
-use crate::service::Service;
-use crate::shard::ShardSender;
+use crate::role::Role;
 use conn::{Connection, Drive};
 use sys::{Event, Poller, PollerKind};
 
@@ -93,7 +96,7 @@ impl ReactorPool {
     ///
     /// Fails fast if the platform has no readiness backend (see
     /// [`sys::Poller::new`]) or a thread cannot be spawned.
-    pub fn spawn(service: &Arc<Service>, threads: usize) -> io::Result<Self> {
+    pub fn spawn<R: Role>(service: &Arc<R>, threads: usize) -> io::Result<Self> {
         let threads = threads.max(1);
         let mut inboxes = Vec::with_capacity(threads);
         #[cfg(unix)]
@@ -167,7 +170,7 @@ impl ReactorPool {
     }
 
     /// Wait for every reactor thread to exit (they exit when the
-    /// service's shutdown flag flips). Wakes each reactor first so exit
+    /// role's shutdown flag flips). Wakes each reactor first so exit
     /// does not wait out a poll timeout.
     pub fn join(self) {
         #[cfg(unix)]
@@ -185,8 +188,13 @@ impl ReactorPool {
 
 /// One reactor thread: adopt, wait, drive, repeat until shutdown.
 #[cfg(unix)]
-fn run_reactor(mut poller: Poller, inbox: Arc<Inbox>, wake: UnixStream, service: Arc<Service>) {
-    let mut sender: ShardSender = service.connect();
+fn run_reactor<R: Role>(
+    mut poller: Poller,
+    inbox: Arc<Inbox>,
+    wake: UnixStream,
+    service: Arc<R>,
+) {
+    let mut sink = service.sink();
     // The wakeup channel keeps dispatch latency off the wait timeout.
     // If registration fails the reactor still works — adoption just
     // degrades to WAIT_MS-bounded latency.
@@ -237,7 +245,7 @@ fn run_reactor(mut poller: Poller, inbox: Arc<Inbox>, wake: UnixStream, service:
 
         for token in std::mem::take(&mut again) {
             drive(
-                &mut poller, &mut slab, &mut free, token, true, false, &service, &mut sender,
+                &mut poller, &mut slab, &mut free, token, true, false, &*service, &mut sink,
                 &mut again,
             );
         }
@@ -253,35 +261,35 @@ fn run_reactor(mut poller: Poller, inbox: Arc<Inbox>, wake: UnixStream, service:
                 ev.token,
                 ev.readable || ev.hangup,
                 ev.writable,
-                &service,
-                &mut sender,
+                &*service,
+                &mut sink,
                 &mut again,
             );
         }
     }
 
-    // Teardown: deregister and drop every connection, then the sender
-    // (closing this thread's rings lets the shard workers drain).
+    // Teardown: deregister and drop every connection, then retire the
+    // sink (closing this thread's rings lets the shard workers drain).
     for slot in slab.iter_mut() {
         if let Some(c) = slot.take() {
             poller.deregister(c.stream().as_raw_fd());
         }
     }
-    drop(sender);
+    service.retire(sink);
 }
 
 /// Drive one connection for one readiness report and retire it if done.
 #[cfg(unix)]
 #[allow(clippy::too_many_arguments)] // internal plumbing, not API
-fn drive(
+fn drive<R: Role>(
     poller: &mut Poller,
     slab: &mut [Option<Connection>],
     free: &mut Vec<usize>,
     token: usize,
     readable: bool,
     writable: bool,
-    service: &Service,
-    sender: &mut ShardSender,
+    service: &R,
+    sink: &mut R::Sink,
     again: &mut Vec<usize>,
 ) {
     let Some(slot) = slab.get_mut(token) else {
@@ -291,7 +299,7 @@ fn drive(
         return; // already closed earlier in this batch
     };
     let outcome = if readable {
-        c.drive_readable(service, sender)
+        c.drive_readable(service, sink)
     } else if writable {
         c.drive_writable()
     } else {
@@ -329,4 +337,4 @@ fn drain_wake(wake: &UnixStream) {
 /// (`Poller::new` errors first), so this is unreachable but keeps the
 /// crate compiling.
 #[cfg(not(unix))]
-fn run_reactor(_poller: Poller, _inbox: Arc<Inbox>, _service: Arc<Service>) {}
+fn run_reactor<R: Role>(_poller: Poller, _inbox: Arc<Inbox>, _service: Arc<R>) {}

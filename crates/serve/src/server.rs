@@ -1,8 +1,11 @@
-//! The TCP front-end: accept loop plus one of two I/O models.
+//! The TCP front-end: one accept loop plus one of two I/O models, for
+//! either server role.
 //!
 //! Connections speak the framed protocol of [`crate::frame`] /
-//! [`crate::protocol`]. Two interchangeable I/O models sit behind the
-//! same accept loop and wire format:
+//! [`crate::protocol`], answered through [`crate::role`] on behalf of a
+//! [`Role`]: a member [`Service`] or a cluster coordinator. Two
+//! interchangeable I/O models sit behind the same accept loop and wire
+//! format:
 //!
 //! * [`IoModel::Reactor`] (default) — nonblocking sockets driven by a
 //!   small fixed pool of readiness-polling reactor threads (epoll on
@@ -13,11 +16,16 @@
 //!   model, kept for differential testing and as a portability escape
 //!   hatch (`--io-model threads`).
 //!
-//! Shutdown is identical in both: a `SHUTDOWN` request flips the
-//! service flag. The acceptor (polling with a short timeout) stops
-//! accepting; connection threads or reactor threads notice the flag
-//! within one poll interval, close their connections, and thereby close
-//! their rings; shard workers drain and exit; the server returns.
+//! The coordinator runs on [`IoModel::Threads`]: its ingest sink
+//! forwards to member sockets and blocks while it does, and it must be
+//! flushed when its own connection ends.
+//!
+//! Shutdown is identical in both: a `SHUTDOWN` request flips the role's
+//! flag. The acceptor (polling with a short timeout) stops accepting;
+//! connection threads or reactor threads notice the flag within one
+//! poll interval, close their connections and retire their sinks (a
+//! member's rings close, a coordinator's buffered keys are delivered);
+//! the role drains and the server returns.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -28,7 +36,8 @@ use std::time::Duration;
 use crate::frame::{is_timeout, read_frame, write_frame, write_payload};
 use crate::protocol::{encode, Response};
 use crate::reactor::ReactorPool;
-use crate::service::{ConnState, Service, ServiceConfig};
+use crate::role::{self, ConnState, Role};
+use crate::service::{Service, ServiceConfig};
 
 /// How long a connection read blocks before re-checking the shutdown
 /// flag.
@@ -112,10 +121,10 @@ impl Default for IoConfig {
     }
 }
 
-/// A bound server, ready to run.
-pub struct Server {
+/// A bound server, ready to run: a listener in front of a [`Role`].
+pub struct Server<R: Role = Service> {
     listener: TcpListener,
-    service: Arc<Service>,
+    service: Arc<R>,
     addr: SocketAddr,
     io: IoConfig,
 }
@@ -131,11 +140,18 @@ impl Server {
     pub fn bind_with(addr: &str, config: ServiceConfig, io: IoConfig) -> io::Result<Self> {
         let service = Service::start(config)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+        Self::with_role(addr, Arc::new(service), io)
+    }
+}
+
+impl<R: Role> Server<R> {
+    /// Bind `addr` in front of an already started role.
+    pub fn with_role(addr: &str, service: Arc<R>, io: IoConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         Ok(Self {
             listener,
-            service: Arc::new(service),
+            service,
             addr,
             io,
         })
@@ -146,8 +162,8 @@ impl Server {
         self.addr
     }
 
-    /// A handle to the service, e.g. for in-process inspection in tests.
-    pub fn service(&self) -> &Arc<Service> {
+    /// A handle to the role, e.g. for in-process inspection in tests.
+    pub fn service(&self) -> &Arc<R> {
         &self.service
     }
 
@@ -157,82 +173,84 @@ impl Server {
     }
 
     /// Accept and serve until a `SHUTDOWN` request arrives, then drain
-    /// and return. Consumes the server.
+    /// the role and return. Consumes the server.
     pub fn run(self) -> io::Result<()> {
         self.listener.set_nonblocking(true)?;
-        match self.io.model {
-            IoModel::Reactor => self.run_reactor(),
-            IoModel::Threads => self.run_threads(),
-        }
-    }
-
-    /// Reactor model: the acceptor hands streams to the pool; a fixed
-    /// number of reactor threads drive all connections.
-    fn run_reactor(self) -> io::Result<()> {
-        let mut pool = ReactorPool::spawn(&self.service, self.io.reactor_threads)?;
-        while !self.service.shutdown_requested() {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => pool.dispatch(stream),
-                Err(e) if is_timeout(&e) => std::thread::sleep(ACCEPT_POLL),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    // Surface the accept error, but unwind the pool and
-                    // service first so shard workers don't leak.
-                    self.service.begin_shutdown();
-                    pool.join();
-                    drain_service(self.service);
-                    return Err(e);
-                }
+        let Self {
+            listener,
+            service,
+            io,
+            ..
+        } = self;
+        let served = match io.model {
+            // A fixed number of reactor threads drive all connections.
+            IoModel::Reactor => {
+                let mut pool = ReactorPool::spawn(&service, io.reactor_threads)?;
+                let served = accept_until_shutdown(&listener, &*service, |stream| {
+                    pool.dispatch(stream);
+                    Ok(())
+                });
+                drop(listener);
+                pool.join();
+                served
             }
-        }
-        drop(self.listener);
-        pool.join();
-        drain_service(self.service);
-        Ok(())
-    }
-
-    /// Blocking model: one OS thread per connection.
-    fn run_threads(self) -> io::Result<()> {
-        let mut connections = Vec::new();
-        while !self.service.shutdown_requested() {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let service = self.service.clone();
+            // One blocking OS thread per connection.
+            IoModel::Threads => {
+                let mut connections = Vec::new();
+                let served = accept_until_shutdown(&listener, &*service, |stream| {
+                    let service = service.clone();
                     connections.push(
                         std::thread::Builder::new()
                             .name("cots-conn".into())
-                            .spawn(move || serve_connection(stream, &service))?,
+                            .spawn(move || serve_connection(stream, &*service))?,
                     );
+                    Ok(())
+                });
+                drop(listener);
+                for c in connections {
+                    let _ = c.join();
                 }
-                Err(e) if is_timeout(&e) => std::thread::sleep(ACCEPT_POLL),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+                served
             }
-        }
-        drop(self.listener);
-        for c in connections {
-            let _ = c.join();
-        }
-        drain_service(self.service);
-        Ok(())
+        };
+        // Every connection (and its sink) is gone: quiesce the role.
+        service.drain();
+        served
     }
 }
 
-/// All connection/reactor threads (and their rings) are gone; drain the
-/// shard workers and quiesce.
-fn drain_service(service: Arc<Service>) {
-    match Arc::try_unwrap(service) {
-        Ok(service) => service.drain(),
-        Err(service) => {
-            // A caller still holds a handle; drain via the flag only.
-            service.begin_shutdown();
+/// Hand each accepted stream to `admit` until the role's shutdown flag
+/// flips. An accept or admission error flags shutdown too, so every
+/// connection unwinds before the error surfaces.
+fn accept_until_shutdown<R: Role>(
+    listener: &TcpListener,
+    service: &R,
+    mut admit: impl FnMut(TcpStream) -> io::Result<()>,
+) -> io::Result<()> {
+    let served = loop {
+        if service.shutdown_requested() {
+            break Ok(());
         }
+        match listener.accept() {
+            Ok((stream, _peer)) => {
+                if let Err(e) = admit(stream) {
+                    break Err(e);
+                }
+            }
+            Err(e) if is_timeout(&e) => std::thread::sleep(ACCEPT_POLL),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => break Err(e),
+        }
+    };
+    if served.is_err() {
+        service.begin_shutdown();
     }
+    served
 }
 
 /// Serve one connection until EOF, a protocol violation, or shutdown
-/// (the blocking [`IoModel::Threads`] path).
-fn serve_connection(stream: TcpStream, service: &Service) {
+/// (the blocking [`IoModel::Threads`] path), then retire its sink.
+fn serve_connection<R: Role>(stream: TcpStream, service: &R) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL));
     let mut reader = match stream.try_clone() {
@@ -240,15 +258,15 @@ fn serve_connection(stream: TcpStream, service: &Service) {
         Err(_) => return,
     };
     let mut writer = io::BufWriter::new(stream);
-    let mut sender = service.connect();
+    let mut sink = service.sink();
     let mut conn = ConnState::new();
     loop {
         let payload = match read_frame(&mut reader) {
             Ok(Some(p)) => p,
-            Ok(None) => return, // clean EOF
+            Ok(None) => break, // clean EOF
             Err(e) if is_timeout(&e) => {
                 if service.shutdown_requested() {
-                    return;
+                    break;
                 }
                 continue;
             }
@@ -259,15 +277,13 @@ fn serve_connection(stream: TcpStream, service: &Service) {
                     message: "malformed frame".into(),
                 };
                 let _ = write_frame(&mut writer, &encode(&resp));
-                return;
+                break;
             }
         };
-        let (response, close) = service.serve_frame(&payload, &mut conn, &mut sender);
-        if write_payload(&mut writer, &response).is_err() {
-            return;
-        }
-        if close {
-            return;
+        let (response, close) = role::serve_frame(service, &payload, &mut conn, &mut sink);
+        if write_payload(&mut writer, &response).is_err() || close {
+            break;
         }
     }
+    service.retire(sink);
 }

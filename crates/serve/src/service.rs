@@ -1,6 +1,6 @@
 //! The service: one backend, one shard pool, one snapshot publisher, and
-//! the request → response logic shared by the TCP server and in-process
-//! tests.
+//! the member [`Role`]: the answers a member gives over the wire (through
+//! [`crate::role`]) and to in-process callers.
 //!
 //! Queries never touch the counting structures: they are answered from
 //! the most recently *published* snapshot, so a query burst cannot block
@@ -36,82 +36,9 @@ use cots_profiling::IngestTally;
 
 use crate::frame::Payload;
 use crate::persistence::{PersistOptions, Persistence};
-use crate::protocol::{
-    snapshot_page_response, QueryReq, QueryStamp, ReplFrame, Request, Response,
-    MIN_PROTO_VERSION, PROTO_VERSION,
-};
+use crate::protocol::{QueryReq, QueryStamp, ReplFrame, Request, Response};
+use crate::role::{self, ConnState, Role};
 use crate::shard::{Backend, SendOutcome, ShardPool, ShardSender};
-
-/// Feature flags a member instance advertises in `HELLO_ACK`.
-const MEMBER_FEATURES: &[&str] = &["snapshot-page", "bin"];
-
-/// Per-connection protocol state: handshake progress, whether the peer
-/// negotiated the BIN1 encoding, plus the snapshot pinned by an
-/// in-progress paged transfer. Owned by the connection (a blocking
-/// thread or a reactor slab slot), never shared.
-#[derive(Default)]
-pub struct ConnState {
-    greeted: bool,
-    /// The peer listed `"bin"` in its `HELLO` features: BIN1 frames are
-    /// admitted on this connection (and answered in kind).
-    bin: bool,
-    pinned: Option<Arc<cots::StampedSnapshot<u64>>>,
-}
-
-impl ConnState {
-    /// Fresh state for a newly accepted connection: the first frame must
-    /// be `HELLO`.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A state that skips the handshake — for in-process callers and
-    /// tests that drive [`Service::serve`] without a socket.
-    pub fn pre_greeted() -> Self {
-        Self {
-            greeted: true,
-            bin: false,
-            pinned: None,
-        }
-    }
-
-    /// Whether the handshake has completed on this connection.
-    pub fn is_greeted(&self) -> bool {
-        self.greeted
-    }
-
-    /// Whether the peer negotiated the BIN1 encoding at `HELLO` time.
-    pub fn is_bin(&self) -> bool {
-        self.bin
-    }
-}
-
-/// What a connection should do with one request's outcome.
-pub struct Reply {
-    /// The response to write.
-    pub response: Response,
-    /// Close the connection after flushing the response (handshake
-    /// rejection, graceful shutdown).
-    pub close: bool,
-}
-
-impl Reply {
-    /// A response that keeps the connection open.
-    pub fn open(response: Response) -> Self {
-        Self {
-            response,
-            close: false,
-        }
-    }
-
-    /// A response after which the connection closes.
-    pub fn closing(response: Response) -> Self {
-        Self {
-            response,
-            close: true,
-        }
-    }
-}
 
 /// Service deployment knobs.
 #[derive(Debug, Clone)]
@@ -253,6 +180,11 @@ impl Service {
     /// Recover durable state (when configured), build the backend, and
     /// spawn shard workers plus the publisher and checkpointer threads.
     pub fn start(config: ServiceConfig) -> Result<Self> {
+        if config.shards == 0 {
+            return Err(CotsError::InvalidConfig(
+                "a service needs at least one shard".into(),
+            ));
+        }
         if config.standby && config.persist.is_none() {
             return Err(CotsError::InvalidConfig(
                 "standby mode requires --data-dir: a standby keeps its own \
@@ -500,155 +432,67 @@ impl Service {
         self.pool.connect()
     }
 
-    /// Whether graceful shutdown has been requested.
-    pub fn shutdown_requested(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
+    /// Handle one request in-process: no handshake, and a
+    /// `SNAPSHOT_PAGE` reads the current snapshot rather than a pinned one.
+    pub fn handle(&self, request: Request, sender: &mut ShardSender) -> Response {
+        role::serve(self, request, &mut ConnState::pre_greeted(), sender).response
     }
 
-    /// Request graceful shutdown (idempotent). Connections observe it via
-    /// [`Service::shutdown_requested`] and close; closing their rings
-    /// lets the (also signalled) shard workers drain and exit.
-    pub fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        self.pool.begin_shutdown();
-    }
-
-    /// Serve one request on behalf of a real connection: enforce the
-    /// `HELLO` handshake, keep paged snapshot transfers pinned to one
-    /// snapshot, and say whether the connection should close afterwards.
-    ///
-    /// The first frame on every connection must be `HELLO` with a
-    /// supported version; anything else is answered with
-    /// `UNSUPPORTED_VERSION` (requested = 0 when no `HELLO` was sent at
-    /// all) and the connection closes. In-process callers that need no
-    /// handshake use [`Service::handle`] or [`ConnState::pre_greeted`].
-    pub fn serve(&self, request: Request, conn: &mut ConnState, sender: &mut ShardSender) -> Reply {
-        if let Request::Hello {
-            proto_version,
-            ref features,
-        } = request
-        {
-            return if (MIN_PROTO_VERSION..=PROTO_VERSION).contains(&proto_version) {
-                conn.greeted = true;
-                // BIN1 admission is per connection: only a peer that
-                // announced the feature may send binary frames.
-                conn.bin = features.iter().any(|f| f == "bin");
-                Reply::open(self.hello_ack())
-            } else {
-                Reply::closing(Response::UnsupportedVersion {
-                    supported: PROTO_VERSION,
-                    requested: proto_version,
-                })
-            };
-        }
-        if !conn.greeted {
-            return Reply::closing(Response::UnsupportedVersion {
-                supported: PROTO_VERSION,
-                requested: 0,
-            });
-        }
-        if let Request::SnapshotPage {
-            since_epoch,
-            offset,
-            limit,
-        } = request
-        {
-            // Offset 0 (re)pins the freshest published snapshot; later
-            // pages keep reading the pinned one, so a multi-frame
-            // transfer never sees a torn summary.
-            if offset == 0 || conn.pinned.is_none() {
-                conn.pinned = Some(self.publisher.current());
-            }
-            let response = match &conn.pinned {
-                Some(snap) => {
-                    let stamp = self.stamp_for(snap);
-                    snapshot_page_response(&snap.snapshot, stamp, since_epoch, offset, limit)
-                }
-                None => Response::Error {
-                    message: "no snapshot published yet".into(),
-                },
-            };
-            return Reply::open(response);
-        }
-        let response = self.handle(request, sender);
-        let close = matches!(response, Response::ShuttingDown);
-        Reply { response, close }
-    }
-
-    /// Serve one raw frame payload: decode (JSON always; BIN1 only on a
-    /// connection that negotiated the `"bin"` feature), dispatch through
-    /// [`Service::serve`], and encode the response *in kind* — a BIN1
-    /// request gets a BIN1 response when the response op has a binary
-    /// form, and JSON otherwise (errors are always JSON). Returns the
-    /// encoded response payload and whether the connection must close.
-    ///
-    /// Both I/O models (blocking threads and the reactor) funnel through
-    /// here, so the two front-ends accept byte-identical languages.
+    /// Serve one raw frame payload as a connection does; see
+    /// [`role::serve_frame`].
     pub fn serve_frame(
         &self,
         payload: &Payload,
         conn: &mut ConnState,
         sender: &mut ShardSender,
     ) -> (Payload, bool) {
-        let (reply, bin) = match payload {
-            Payload::Json(text) => match crate::protocol::decode::<Request>(text) {
-                Ok(request) => (self.serve(request, conn, sender), false),
-                Err(e) => (
-                    Reply::open(Response::Error {
-                        message: e.to_string(),
-                    }),
-                    false,
-                ),
-            },
-            Payload::Bin(bytes) => {
-                if !conn.is_bin() {
-                    // Sending BIN1 without negotiating it is a protocol
-                    // violation, handled like a failed handshake: answer
-                    // and close.
-                    (
-                        Reply::closing(Response::Error {
-                            message: "BIN1 frame on a connection that did not \
-                                      negotiate the `bin` feature in HELLO"
-                                .into(),
-                        }),
-                        false,
-                    )
-                } else {
-                    match crate::bin1::decode_request(bytes) {
-                        Ok(request) => (self.serve(request, conn, sender), true),
-                        Err(e) => (
-                            Reply::open(Response::Error {
-                                message: e.to_string(),
-                            }),
-                            false,
-                        ),
-                    }
-                }
-            }
-        };
-        let encoded = if bin {
-            match crate::bin1::encode_response(&reply.response) {
-                Some(bytes) => Payload::Bin(bytes),
-                None => Payload::Json(crate::protocol::encode(&reply.response)),
-            }
-        } else {
-            Payload::Json(crate::protocol::encode(&reply.response))
-        };
-        (encoded, reply.close)
+        role::serve_frame(self, payload, conn, sender)
+    }
+}
+
+impl Role for Service {
+    type Sink = ShardSender;
+
+    const FEATURES: &'static [&'static str] = &["snapshot-page", "bin"];
+
+    fn sink(&self) -> ShardSender {
+        self.connect()
     }
 
-    /// The `HELLO_ACK` this instance answers a successful handshake with.
-    fn hello_ack(&self) -> Response {
-        Response::HelloAck {
-            proto_version: PROTO_VERSION,
-            features: MEMBER_FEATURES.iter().map(|s| s.to_string()).collect(),
+    /// Dropping the sender closes its rings; the shard workers drain them.
+    fn retire(&self, _sender: ShardSender) {}
+
+    fn pin(&self, _sender: &mut ShardSender) -> Arc<cots::StampedSnapshot<u64>> {
+        self.publisher.current()
+    }
+
+    fn stamp(&self, snap: &cots::StampedSnapshot<u64>) -> QueryStamp {
+        self.stamp_for(snap)
+    }
+
+    fn shutdown_requested(&self) -> bool {
+        self.shutdown.load(Ordering::Acquire)
+    }
+
+    /// Connections observe the flag and close; closing their rings lets
+    /// the (also signalled) shard workers drain and exit.
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::Release);
+        self.pool.begin_shutdown();
+    }
+
+    /// Drain when the server holds the last handle; otherwise (a caller
+    /// still holds one) only flag shutdown.
+    fn drain(self: Arc<Self>) {
+        match Arc::try_unwrap(self) {
+            Ok(service) => service.drain(),
+            Err(service) => service.begin_shutdown(),
         }
     }
 
-    /// Handle one request on behalf of a connection.
-    pub fn handle(&self, request: Request, sender: &mut ShardSender) -> Response {
+    fn dispatch(&self, request: Request, sender: &mut ShardSender) -> Response {
         match request {
-            Request::Hello { .. } => self.hello_ack(),
+            Request::Hello { .. } | Request::SnapshotPage { .. } => role::front_end_only(),
             Request::Ingest { keys } => {
                 if self.is_standby() {
                     return Response::Error {
@@ -681,16 +525,6 @@ impl Service {
                     snapshot: snap.snapshot.clone(),
                     stamp,
                 }
-            }
-            Request::SnapshotPage {
-                since_epoch,
-                offset,
-                limit,
-            } => {
-                // Pin-free in-process path; real connections go through
-                // [`Service::serve`], which pins across pages.
-                let (snap, stamp) = self.published();
-                snapshot_page_response(&snap.snapshot, stamp, since_epoch, offset, limit)
             }
             Request::ClusterStats => Response::Error {
                 message: "this instance is a member, not a coordinator \
@@ -783,6 +617,9 @@ impl Service {
         }
     }
 
+}
+
+impl Service {
     /// The persistence handle a `REPL_*` stream operation applies
     /// through, or the refusal to send back: only a standby with a data
     /// directory accepts the stream.
@@ -1092,6 +929,7 @@ impl Service {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::PROTO_VERSION;
 
     fn drive(service: &Service, sender: &mut ShardSender, keys: &[u64], batch: usize) {
         let mut sent = 0;
@@ -1215,7 +1053,7 @@ mod tests {
 
         // Any operation before HELLO is rejected and the connection closes.
         let mut conn = ConnState::new();
-        let reply = service.serve(Request::Stats, &mut conn, &mut sender);
+        let reply = role::serve(&service, Request::Stats, &mut conn, &mut sender);
         match reply.response {
             Response::UnsupportedVersion {
                 supported,
@@ -1231,7 +1069,8 @@ mod tests {
 
         // An unsupported version is named in the rejection.
         let mut conn = ConnState::new();
-        let reply = service.serve(
+        let reply = role::serve(
+            &service,
             Request::Hello {
                 proto_version: 1,
                 features: vec![],
@@ -1247,7 +1086,8 @@ mod tests {
 
         // The proper handshake opens the connection for business.
         let mut conn = ConnState::new();
-        let reply = service.serve(
+        let reply = role::serve(
+            &service,
             Request::Hello {
                 proto_version: PROTO_VERSION,
                 features: vec!["snapshot-page".into()],
@@ -1267,12 +1107,12 @@ mod tests {
         }
         assert!(!reply.close);
         assert!(conn.is_greeted());
-        let reply = service.serve(Request::Stats, &mut conn, &mut sender);
+        let reply = role::serve(&service, Request::Stats, &mut conn, &mut sender);
         assert!(matches!(reply.response, Response::Stats(_)));
         assert!(!reply.close);
 
         // Shutdown still closes through the serve path.
-        let reply = service.serve(Request::Shutdown, &mut conn, &mut sender);
+        let reply = role::serve(&service, Request::Shutdown, &mut conn, &mut sender);
         assert!(matches!(reply.response, Response::ShuttingDown));
         assert!(reply.close);
         drop(sender);
@@ -1295,7 +1135,8 @@ mod tests {
         await_applied(&service, 1_000);
 
         // First page pins the current snapshot.
-        let first = service.serve(
+        let first = role::serve(
+            &service,
             Request::SnapshotPage {
                 since_epoch: 0,
                 offset: 0,
@@ -1326,7 +1167,8 @@ mod tests {
         assert!(service.publisher.epoch() > first_epoch);
 
         // ...but later pages still read the pinned snapshot.
-        let second = service.serve(
+        let second = role::serve(
+            &service,
             Request::SnapshotPage {
                 since_epoch: 0,
                 offset: 4,
@@ -1358,7 +1200,8 @@ mod tests {
 
         // Offset 0 re-pins; a holder of the fresh epoch gets `unchanged`.
         let epoch_now = settled_epoch(&service);
-        let third = service.serve(
+        let third = role::serve(
+            &service,
             Request::SnapshotPage {
                 since_epoch: epoch_now,
                 offset: 0,
@@ -1896,6 +1739,18 @@ mod tests {
             ..Default::default()
         });
         assert!(err.is_err(), "standby requires --data-dir");
+    }
+
+    #[test]
+    fn zero_shards_is_a_config_error() {
+        let err = Service::start(ServiceConfig {
+            shards: 0,
+            ..Default::default()
+        });
+        assert!(
+            matches!(err, Err(CotsError::InvalidConfig(_))),
+            "shards = 0 must be refused, not panic"
+        );
     }
 
     #[test]

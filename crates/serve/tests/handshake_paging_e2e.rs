@@ -1,15 +1,19 @@
 //! End-to-end tests for the `HELLO` handshake and `SNAPSHOT_PAGE`
 //! streaming: version gating over a real socket under both I/O models,
 //! paged reassembly equal to the one-shot snapshot, the `unchanged`
-//! delta short-circuit, and a summary too large for any single frame.
+//! delta short-circuit, a summary too large for any single frame, and
+//! the error that replaces an answer over the frame cap.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
+use cots::{SnapshotPublisher, StampedSnapshot};
 use cots_core::CounterEntry;
 use cots_serve::protocol::encode;
 use cots_serve::{
-    Client, ConnState, IoConfig, IoModel, Request, Response, Server, Service, ServiceConfig,
-    MAX_FRAME, MAX_PAGE_ENTRIES, PROTO_VERSION,
+    Client, ConnState, IoConfig, IoModel, QueryReq, QueryStamp, Request, Response, Role, Server,
+    Service, ServiceConfig, MAX_FRAME, MAX_PAGE_ENTRIES, PROTO_VERSION,
 };
 
 fn spawn_server(model: IoModel, capacity: usize) -> (String, std::thread::JoinHandle<()>) {
@@ -288,7 +292,8 @@ fn oversized_snapshot_streams_in_pages() {
     let mut pages = 0usize;
     let mut pinned_epoch = None;
     loop {
-        let reply = service.serve(
+        let reply = cots_serve::role::serve(
+            &service,
             Request::SnapshotPage {
                 since_epoch: 0,
                 offset,
@@ -341,4 +346,91 @@ fn oversized_snapshot_streams_in_pages() {
 
     drop(sender);
     service.drain();
+}
+
+/// A role whose `SNAPSHOT` answer is larger than one frame, so the
+/// front-end's frame-cap fallback is exercised without building a huge
+/// summary.
+#[derive(Default)]
+struct Oversized {
+    publisher: SnapshotPublisher<u64>,
+    shutdown: AtomicBool,
+}
+
+impl Role for Oversized {
+    type Sink = ();
+
+    const FEATURES: &'static [&'static str] = &["snapshot-page"];
+
+    fn sink(&self) {}
+
+    fn retire(&self, _sink: ()) {}
+
+    fn pin(&self, _sink: &mut ()) -> Arc<StampedSnapshot<u64>> {
+        self.publisher.current()
+    }
+
+    fn stamp(&self, snap: &StampedSnapshot<u64>) -> QueryStamp {
+        QueryStamp {
+            epoch: snap.epoch,
+            captured_total: snap.captured_total,
+            staleness: 0,
+            rotations: None,
+        }
+    }
+
+    fn dispatch(&self, request: Request, _sink: &mut ()) -> Response {
+        match request {
+            Request::Snapshot => Response::Error {
+                message: "x".repeat(MAX_FRAME),
+            },
+            Request::Shutdown => {
+                self.begin_shutdown();
+                Response::ShuttingDown
+            }
+            _ => Response::Overloaded,
+        }
+    }
+
+    fn shutdown_requested(&self) -> bool {
+        self.shutdown.load(Ordering::Acquire)
+    }
+
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::Release);
+    }
+
+    fn drain(self: Arc<Self>) {}
+}
+
+/// An answer over `MAX_FRAME` is replaced by an error that points to
+/// `SNAPSHOT_PAGE`, and the connection stays usable — under both I/O
+/// models.
+#[test]
+fn oversized_answer_points_to_paging_and_keeps_the_connection() {
+    for model in [IoModel::Reactor, IoModel::Threads] {
+        let io = IoConfig {
+            model,
+            ..IoConfig::default()
+        };
+        let server = Server::with_role("127.0.0.1:0", Arc::new(Oversized::default()), io)
+            .expect("bind");
+        let addr = server.local_addr().to_string();
+        let handle = std::thread::spawn(move || server.run().expect("server run"));
+
+        let mut client = Client::connect(&addr).expect("connect");
+        client.set_timeout(Some(Duration::from_secs(30))).unwrap();
+        match client.call(&Request::Snapshot) {
+            Ok(Response::Error { message }) => {
+                assert!(message.contains("SNAPSHOT_PAGE"), "model {model}: {message}")
+            }
+            other => panic!("model {model}: unexpected oversized answer: {other:?}"),
+        }
+        match client.call(&Request::Query(QueryReq::TopK { k: 1 })) {
+            Ok(Response::Overloaded) => {}
+            other => panic!("model {model}: connection should stay open: {other:?}"),
+        }
+        client.shutdown().expect("shutdown");
+        handle.join().expect("server thread");
+    }
 }
